@@ -20,6 +20,11 @@ echo "== tier-1: release build + root-package tests =="
 cargo build --release
 cargo test -q
 
+echo "== benchmark package: build + its helpers' tests =="
+# perfbench is its own Cargo workspace over the library crates, so an
+# API change it depends on surfaces here rather than in a benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== full workspace tests =="
 cargo test --workspace -q
 

@@ -110,14 +110,6 @@ impl SliceEngine for AllSizesFifoEngine {
     fn metrics(&self) -> Vec<Metrics> {
         AllSizesFifoEngine::metrics(self)
     }
-
-    fn clone_box(&self) -> Box<dyn SliceEngine> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

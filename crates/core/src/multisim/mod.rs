@@ -23,9 +23,9 @@
 //! All three sit behind the object-safe [`SliceEngine`] trait, and
 //! [`ENGINE_REGISTRY`] maps a [`EngineKind`] to its builder — the seam
 //! where future organisations (victim caches, way prediction) plug in
-//! without touching the planner. [`simulate_many`] /
-//! [`simulate_many_pair`] pick the engine from the slice's policy, so
-//! callers never name a concrete engine type.
+//! without touching the planner. [`simulate_many`] picks the engine
+//! from the slice's policy, so callers never name a concrete engine
+//! type.
 //!
 //! The machinery shared by the engines lives here: the deduplicated
 //! **residency class** ([`ClassState`] — configurations with equal block
@@ -227,12 +227,8 @@ fn supports_or_reason(config: &CacheConfig) -> Option<&'static str> {
 /// All implementations promise the same contract the LRU engine always
 /// had: [`metrics`](SliceEngine::metrics) is bit-identical to running
 /// [`simulate`](crate::simulate) once per member configuration over the
-/// same references, [`reset_metrics`](SliceEngine::reset_metrics)
-/// zeroes counters while keeping cache (and RNG) state for warm starts,
-/// and [`run_pair`](SliceEngine::run_pair) equals two sequential
-/// [`access_run`](SliceEngine::access_run) calls — engines override it
-/// only to *schedule* the two passes better (the LRU engine interleaves
-/// them), never to change results.
+/// same references, and [`reset_metrics`](SliceEngine::reset_metrics)
+/// zeroes counters while keeping cache (and RNG) state for warm starts.
 pub trait SliceEngine: Send {
     /// Which policy family this engine simulates.
     fn kind(&self) -> EngineKind;
@@ -246,23 +242,6 @@ pub trait SliceEngine: Send {
 
     /// Metrics accumulated so far, in member-configuration order.
     fn metrics(&self) -> Vec<Metrics>;
-
-    /// Clones the engine, state and all (paired runs drive one engine
-    /// per trace from a shared starting point).
-    fn clone_box(&self) -> Box<dyn SliceEngine>;
-
-    /// Downcast hook so a concrete engine can recognise a same-type
-    /// partner in [`run_pair`](SliceEngine::run_pair).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Presents one chunk to this engine and another chunk to a second
-    /// engine over the same configurations. The default runs the two
-    /// sequentially; the LRU engine overrides it to interleave the
-    /// per-reference steps when the partner is also an LRU engine.
-    fn run_pair(&mut self, refs: &[MemRef], other: &mut dyn SliceEngine, other_refs: &[MemRef]) {
-        self.access_run(refs);
-        other.access_run(other_refs);
-    }
 }
 
 /// An [`EngineSpec`] builder: constructs an engine for a slice; `seed`
@@ -1085,20 +1064,6 @@ impl EngineCore {
         counted as usize
     }
 
-    /// Whether `other` simulates the identical residency-class layout
-    /// (same configurations in the same order), making two engines
-    /// eligible for an interleaved paired run.
-    fn same_shape(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.classes.len() == other.classes.len()
-            && self.classes.iter().zip(&other.classes).all(|(a, b)| {
-                a.shift == b.shift
-                    && a.mask == b.mask
-                    && a.assoc == b.assoc
-                    && a.meta.len() == b.meta.len()
-            })
-    }
-
     /// Zeroes every configuration's metrics while keeping cache state.
     fn reset_metrics(&mut self) {
         self.bank = CounterBank::default();
@@ -1196,14 +1161,9 @@ where
     Ok(engine.metrics())
 }
 
-/// [`simulate_many`] for two traces at once: one engine per trace,
-/// driven chunk-by-chunk through [`SliceEngine::run_pair`] so the two
-/// passes can interleave (the LRU engine does; other engines run the
-/// chunks sequentially).
-///
-/// Returns exactly what two separate [`simulate_many`] calls would
-/// (the interleave never mixes state); the pairing is purely a
-/// scheduling change that overlaps the two traces' dependency chains.
+/// [`simulate_many`] for two traces: the two passes run one after the
+/// other and return exactly what two separate [`simulate_many`] calls
+/// would.
 ///
 /// # Errors
 ///
@@ -1218,41 +1178,10 @@ where
     I: IntoIterator<Item = MemRef>,
     J: IntoIterator<Item = MemRef>,
 {
-    let mut engine_a = engine_for(configs)?;
-    let mut engine_b = engine_a.clone_box();
-    let mut iter_a = refs_a.into_iter();
-    let mut iter_b = refs_b.into_iter();
-    let mut buf_a: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut buf_b: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut remaining = warmup;
-    while remaining > 0 {
-        let take = remaining.min(ENGINE_CHUNK);
-        buf_a.clear();
-        buf_a.extend(iter_a.by_ref().take(take));
-        buf_b.clear();
-        buf_b.extend(iter_b.by_ref().take(take));
-        if buf_a.is_empty() && buf_b.is_empty() {
-            break;
-        }
-        // Both traces consume warmup at the same pace, so the chunks
-        // stay aligned until one stream ends (the pair call falls back
-        // to serial runs for ragged tails).
-        remaining -= take.min(buf_a.len().max(buf_b.len()));
-        engine_a.run_pair(&buf_a, engine_b.as_mut(), &buf_b);
-    }
-    engine_a.reset_metrics();
-    engine_b.reset_metrics();
-    loop {
-        buf_a.clear();
-        buf_a.extend(iter_a.by_ref().take(ENGINE_CHUNK));
-        buf_b.clear();
-        buf_b.extend(iter_b.by_ref().take(ENGINE_CHUNK));
-        if buf_a.is_empty() && buf_b.is_empty() {
-            break;
-        }
-        engine_a.run_pair(&buf_a, engine_b.as_mut(), &buf_b);
-    }
-    Ok((engine_a.metrics(), engine_b.metrics()))
+    Ok((
+        simulate_many(configs, refs_a, warmup)?,
+        simulate_many(configs, refs_b, warmup)?,
+    ))
 }
 
 /// Chunk size (in references) used when feeding an iterator through an

@@ -225,14 +225,6 @@ impl SliceEngine for AllSizesRandomEngine {
     fn metrics(&self) -> Vec<Metrics> {
         AllSizesRandomEngine::metrics(self)
     }
-
-    fn clone_box(&self) -> Box<dyn SliceEngine> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

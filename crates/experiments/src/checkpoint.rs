@@ -367,6 +367,43 @@ where
         &ProgressWriter,
     ) -> Vec<Result<DesignPoint, PointError>>,
 {
+    let fingerprint = trace_fingerprint(traces);
+    evaluate_checkpointed_keyed(
+        dir,
+        artifact,
+        configs,
+        traces,
+        fingerprint,
+        warmup,
+        fresh,
+        eval,
+    )
+}
+
+/// [`evaluate_checkpointed_in_streamed`] with the trace-set fingerprint
+/// already computed: hashing every reference of every trace is a full
+/// pass over the set, so a caller that also reports the fingerprint
+/// computes it once and passes it in.
+#[allow(clippy::too_many_arguments)]
+fn evaluate_checkpointed_keyed<F>(
+    dir: &Path,
+    artifact: &str,
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    fingerprint: u64,
+    warmup: usize,
+    fresh: bool,
+    eval: F,
+) -> io::Result<SweepOutcome>
+where
+    F: FnOnce(
+        &[CacheConfig],
+        &[Trace],
+        usize,
+        &JournalSink,
+        &ProgressWriter,
+    ) -> Vec<Result<DesignPoint, PointError>>,
+{
     let path = journal_path(dir, artifact);
     let _lock = JournalLock::acquire(dir)?;
     if fresh {
@@ -381,7 +418,6 @@ where
     if scan.needs_repair() {
         compact_journal(&path, &scan)?;
     }
-    let fingerprint = trace_fingerprint(traces);
     let keys: Vec<u64> = configs
         .iter()
         .map(|c| point_key(c, fingerprint, warmup))
@@ -576,8 +612,9 @@ pub fn evaluate_checkpointed(
         stats.lock().expect("supervisor stats lock").merge(s);
         results
     };
-    match evaluate_checkpointed_in_streamed(
-        &dir, artifact, configs, traces, warmup, fresh, supervised,
+    let trace_fp = trace_fingerprint(traces);
+    match evaluate_checkpointed_keyed(
+        &dir, artifact, configs, traces, trace_fp, warmup, fresh, supervised,
     ) {
         Ok(mut outcome) => {
             let stats = *stats.lock().expect("supervisor stats lock");
@@ -604,7 +641,7 @@ pub fn evaluate_checkpointed(
                 bad_journal_lines: outcome.journal.bad_lines,
                 repaired_tail_bytes: outcome.journal.repaired_tail_bytes,
                 wall_ms: started.elapsed().as_millis(),
-                trace_fp: trace_fingerprint(traces),
+                trace_fp,
                 config_fp: config_fingerprint(configs),
             });
             // Phase boundary: flush the report accumulated so far as an

@@ -1,25 +1,40 @@
-//! Slice-level parallelism must be invisible in the artifacts: Table 7
-//! regenerated with `OCCACHE_SLICE_THREADS=1` and with
-//! `OCCACHE_SLICE_THREADS=4` must write byte-identical CSVs and a
-//! byte-identical `MANIFEST.json`. Worker threads race only on wall
-//! clock — results are stitched back in planning order before anything
-//! is rendered, so a thread-count change can never shift a committed
-//! byte.
+//! Slice-level parallelism must be real and invisible in the artifacts.
 //!
-//! One `#[test]` only: the run depends on process-global environment
-//! (`OCCACHE_RESULTS`, `OCCACHE_JOBS`, `OCCACHE_SLICE_THREADS`), so
-//! this file must not gain a second test that could run concurrently in
-//! the same process.
+//! Real: a Table 7 grid of one architecture is a single engine unit,
+//! and the executor splits it into one task per trace, so a budget of
+//! two workers must put both of them to work. Invisible: Table 7
+//! regenerated with `OCCACHE_SLICE_THREADS=1`, `=2` and `=4` must write
+//! byte-identical CSVs and a byte-identical `MANIFEST.json`. Worker
+//! threads race only on wall clock — per-trace passes are folded in
+//! trace order and results stitched back in planning order before
+//! anything is rendered, so a thread-count change can never shift a
+//! committed byte.
+//!
+//! Both tests depend on process-global environment (`OCCACHE_RESULTS`,
+//! `OCCACHE_JOBS`, `OCCACHE_SLICE_THREADS`, `OCCACHE_NO_MULTISIM`), so
+//! each holds [`ENV`] for its whole run and they never overlap.
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Mutex;
+use std::time::Duration;
 
 use occache_experiments::manifest::MANIFEST_FILE;
 use occache_experiments::runs::{run_table7, Workbench};
+use occache_experiments::supervisor::{
+    evaluate_results_supervised_with, FaultPlan, SupervisorPolicy,
+};
+use occache_experiments::sweep::{
+    evaluate_point, materialize, plan_units, standard_config, table1_pairs,
+};
+use occache_workloads::{Architecture, WorkloadSpec};
 
 /// References per trace: small enough for a debug-profile test run,
 /// large enough that every Table 1 pair sees real misses.
 const REFS: usize = 2_000;
+
+/// Serialises the tests of this file over the process environment.
+static ENV: Mutex<()> = Mutex::new(());
 
 /// Runs Table 7 into a fresh scratch results dir with the given slice
 /// thread count and returns `file name -> bytes` for every emitted
@@ -41,7 +56,7 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
     std::env::remove_var("OCCACHE_FAULT_POINT");
     std::env::remove_var("OCCACHE_FRESH");
     // Manifest fingerprints fold over the in-process phase registry;
-    // start each run from a clean one so the two manifests describe the
+    // start each run from a clean one so the manifests describe the
     // same phases.
     occache_experiments::run_report::reset();
 
@@ -68,8 +83,8 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn slice_thread_count_never_changes_artifact_bytes() {
+    let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
     let serial = emit_table7("1");
-    let threaded = emit_table7("4");
     assert!(
         serial.contains_key(MANIFEST_FILE),
         "table7 emit must write {MANIFEST_FILE}"
@@ -78,15 +93,72 @@ fn slice_thread_count_never_changes_artifact_bytes() {
         serial.keys().any(|n| n.ends_with(".csv")),
         "table7 emit must write at least one CSV"
     );
-    assert_eq!(
-        serial.keys().collect::<Vec<_>>(),
-        threaded.keys().collect::<Vec<_>>(),
-        "thread count changed the set of emitted files"
-    );
-    for (name, bytes) in &serial {
+    for threads in ["2", "4"] {
+        let threaded = emit_table7(threads);
         assert_eq!(
-            bytes, &threaded[name],
-            "{name} differs between OCCACHE_SLICE_THREADS=1 and =4"
+            serial.keys().collect::<Vec<_>>(),
+            threaded.keys().collect::<Vec<_>>(),
+            "thread count changed the set of emitted files"
         );
+        for (name, bytes) in &serial {
+            assert_eq!(
+                bytes, &threaded[name],
+                "{name} differs between OCCACHE_SLICE_THREADS=1 and ={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_unit_grid_runs_on_every_worker_in_the_budget() {
+    let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::remove_var("OCCACHE_NO_MULTISIM");
+    let traces = materialize(
+        &[
+            WorkloadSpec::pdp11_ed(),
+            WorkloadSpec::pdp11_opsys(),
+            WorkloadSpec::pdp11_roff(),
+        ],
+        REFS,
+    );
+    let configs: Vec<_> = [64, 256, 1024]
+        .into_iter()
+        .flat_map(|net| {
+            table1_pairs(net, 2)
+                .into_iter()
+                .map(move |(b, s)| standard_config(Architecture::Pdp11, net, b, s))
+        })
+        .collect();
+    assert_eq!(plan_units(&configs).len(), 1, "the grid is one engine unit");
+
+    // Pass 0 of the unit holds its worker (a hang with no deadline
+    // never fails) far longer than a thread takes to start, so under a
+    // budget of two the second worker claims the other passes.
+    let (block, sub) = (configs[0].block_size(), configs[0].sub_block_size());
+    let mut policy = SupervisorPolicy::disabled();
+    policy.fault = FaultPlan::hang(block, sub, Duration::from_secs(2));
+    for (budget, busy) in [(2, 2), (1, 1)] {
+        let (results, stats) = evaluate_results_supervised_with(
+            &policy,
+            &configs,
+            &traces,
+            0,
+            Some(budget),
+            |_, _| {},
+        );
+        assert_eq!(
+            stats.busy_workers, busy,
+            "a budget of {budget} must run {busy} worker(s)"
+        );
+        assert_eq!(stats.direct_points, 0, "every point rides the engine");
+        for (config, result) in configs.iter().zip(&results) {
+            let point = result.as_ref().expect("the grid evaluates cleanly");
+            let direct = evaluate_point(*config, &traces, 0);
+            assert_eq!(point.miss_ratio.to_bits(), direct.miss_ratio.to_bits());
+            assert_eq!(
+                point.traffic_ratio.to_bits(),
+                direct.traffic_ratio.to_bits()
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! | `OCCACHE_REFS` | [`env_usize`] | caller-supplied (paper: 1 M) |
 //! | `OCCACHE_WARMUP` | [`env_usize`] | 0 |
 //! | `OCCACHE_JOBS` | [`try_jobs`] | hardware parallelism |
-//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | `OCCACHE_JOBS`, else hardware |
+//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | `OCCACHE_JOBS`, else hardware; capped at the (unit, trace) task count, so it applies to single-unit grids too |
 //! | `OCCACHE_NO_MULTISIM` | [`try_multisim_disabled`] | none disabled |
 //! | `OCCACHE_REPLACEMENT` | [`try_replacement_override`] | grid default (LRU) |
 //! | `OCCACHE_FRESH` | [`fresh_requested`] | off |
@@ -83,7 +83,9 @@ pub fn try_jobs() -> Result<Option<usize>, String> {
 /// `OCCACHE_SLICE_THREADS` env var. `Ok(None)` (unset or `0`) means
 /// "defer" — callers fall through to [`try_jobs`] and then to the
 /// hardware parallelism; `OCCACHE_SLICE_THREADS=1` forces slices to run
-/// serially. Unlike `OCCACHE_JOBS` it does not touch the serving
+/// serially. The sweep pool schedules one task per engine pass of one
+/// (unit, trace) pair, so the setting takes effect even on a grid that
+/// plans to a single engine unit, such as Table 7. Unlike `OCCACHE_JOBS` it does not touch the serving
 /// layer's pools, so an operator can pin slice concurrency without
 /// resizing everything else. Malformed values are an error naming the
 /// variable — same strictness as every other `OCCACHE_*` knob.

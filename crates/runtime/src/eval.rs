@@ -23,8 +23,7 @@ use std::sync::Arc;
 use std::thread;
 
 use occache_core::{
-    simulate, simulate_many, simulate_many_pair, BusModel, CacheConfig, EngineKind, Metrics,
-    MAX_MULTISIM_CONFIGS,
+    simulate, simulate_many, BusModel, CacheConfig, EngineKind, Metrics, MAX_MULTISIM_CONFIGS,
 };
 use occache_trace::{MemRef, PackedTrace};
 
@@ -211,19 +210,45 @@ pub fn evaluate_point(config: CacheConfig, traces: &[Trace], warmup: usize) -> D
 ///
 /// The accumulation order per configuration is identical to the per-point
 /// path (outer loop over traces, then the division by the trace count), so
-/// the resulting floats are bit-identical, not merely close.
+/// the resulting floats are bit-identical, not merely close. This is
+/// [`slice_pass`] per trace followed by [`fold_slice`] — the same two
+/// steps the supervised executor schedules as separate tasks.
 pub fn evaluate_slice(
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
 ) -> Vec<DesignPoint> {
+    let passes: Vec<Vec<Metrics>> = traces
+        .iter()
+        .map(|trace| slice_pass(configs, trace, warmup))
+        .collect();
+    fold_slice(configs, &passes)
+}
+
+/// One engine pass of a slice over one trace: every member's metrics,
+/// in member order.
+///
+/// # Panics
+///
+/// Panics if no engine can run the slice — the planner only groups
+/// engine-compatible configs, so this is a planner bug.
+pub fn slice_pass(configs: &[CacheConfig], trace: &Trace, warmup: usize) -> Vec<Metrics> {
+    simulate_many(configs, trace.iter(), warmup)
+        .expect("sweep planner grouped an engine-incompatible slice")
+}
+
+/// Folds a slice's per-trace [`slice_pass`] results, given in trace
+/// order, into one averaged [`DesignPoint`] per member. Summing trace
+/// by trace and dividing once keeps every float bit-identical to
+/// [`evaluate_point`].
+pub fn fold_slice(configs: &[CacheConfig], passes: &[Vec<Metrics>]) -> Vec<DesignPoint> {
     let nibble = BusModel::paper_nibble();
     let mut miss = vec![0.0; configs.len()];
     let mut traffic = vec![0.0; configs.len()];
     let mut scaled = vec![0.0; configs.len()];
     let mut redundant = vec![0.0; configs.len()];
-    let mut fold = |all: &[Metrics]| {
-        for (i, metrics) in all.iter().enumerate() {
+    for pass in passes {
+        for (i, metrics) in pass.iter().enumerate() {
             miss[i] += metrics.miss_ratio();
             traffic[i] += metrics.traffic_ratio();
             scaled[i] += metrics.scaled_traffic_ratio(nibble);
@@ -231,26 +256,8 @@ pub fn evaluate_slice(
                 redundant[i] += metrics.redundant_sub_loads() as f64 / metrics.sub_loads() as f64;
             }
         }
-    };
-    // Traces go through the engine two at a time: the paired run
-    // interleaves two independent engine passes to overlap their
-    // dependency chains (see `simulate_many_pair`), and folding the
-    // pair's metrics in trace order keeps the float accumulation
-    // sequence — and therefore every ratio — bit-identical to the
-    // one-trace-at-a-time loop.
-    let mut chunks = traces.chunks_exact(2);
-    for pair in chunks.by_ref() {
-        let (first, second) = simulate_many_pair(configs, pair[0].iter(), pair[1].iter(), warmup)
-            .expect("sweep planner grouped an engine-incompatible slice");
-        fold(&first);
-        fold(&second);
     }
-    for trace in chunks.remainder() {
-        let all = simulate_many(configs, trace.iter(), warmup)
-            .expect("sweep planner grouped an engine-incompatible slice");
-        fold(&all);
-    }
-    let n = traces.len().max(1) as f64;
+    let n = passes.len().max(1) as f64;
     configs
         .iter()
         .enumerate()
@@ -545,7 +552,10 @@ pub fn pool_workers(units: usize) -> usize {
 /// Worker count for slice-level sweep execution: `OCCACHE_SLICE_THREADS`
 /// when set (so an operator can pin sweep concurrency without resizing
 /// the serving pools), otherwise [`pool_workers`]'s `OCCACHE_JOBS` /
-/// hardware-parallelism fallback; always capped at the unit count.
+/// hardware-parallelism fallback; always capped at `units`, the number
+/// of schedulable tasks (the supervised executor counts one task per
+/// engine pass of one trace, so a single-slice grid over several
+/// traces still fills the pool).
 /// Binaries validate the variable strictly at startup via
 /// [`crate::config::try_slice_threads`]; by the time a pool is being
 /// sized, a malformed value falls back to the default rather than

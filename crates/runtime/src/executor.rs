@@ -6,10 +6,11 @@
 //! source ([`crate::queue`]) coalesces submissions into grids and runs
 //! them through the same pool.
 //!
-//! Under a deadline, each design point (or engine slice) runs on a named
-//! watchdog thread and the supervisor waits with a timeout; a point that
-//! overruns is abandoned (the thread is leaked — Rust cannot kill a
-//! thread — and counted in [`SuperviseStats::abandoned_threads`]) and
+//! Under a deadline, each design point (or each per-trace pass of an
+//! engine slice) runs on a named watchdog thread and the supervisor
+//! waits with a timeout; a point or pass that overruns is abandoned (the
+//! thread is leaked — Rust cannot kill a thread — and counted in
+//! [`SuperviseStats::abandoned_threads`]) and
 //! surfaces as [`PointFault::Timeout`](crate::eval::PointFault::Timeout)
 //! instead of wedging the whole run. Panicking points get `retries`
 //! further attempts separated by an exponential backoff capped at
@@ -27,16 +28,16 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use occache_core::CacheConfig;
+use occache_core::{CacheConfig, EngineKind, Metrics};
 
 use crate::config::parse_timeout;
 use crate::eval::{
-    evaluate_point, evaluate_results_with, evaluate_slice, panic_message, plan_units_disabling,
-    DesignPoint, PointError, SweepUnit, Trace,
+    evaluate_point, evaluate_results_with, fold_slice, panic_message, plan_units_disabling,
+    slice_pass, DesignPoint, PointError, SweepUnit, Trace,
 };
 use crate::journal::JournalHealth;
 
@@ -74,7 +75,8 @@ pub struct FaultPlan {
     /// so a retried attempt advances the counter and succeeds — the
     /// serving layer's `panic-worker:K` chaos mode.
     every: Option<u64>,
-    /// Shared evaluation counter for [`FaultPlan::panic_every`].
+    /// Shared count of [`FaultPlan::trip`] calls, which
+    /// [`FaultPlan::panic_every`] periods are measured in.
     evaluations: Arc<AtomicU64>,
 }
 
@@ -114,6 +116,12 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         plan.every = Some(period.max(1));
         plan
+    }
+
+    /// How many times [`FaultPlan::trip`] has been called, across
+    /// clones: one per member per evaluation attempt.
+    pub fn trips(&self) -> u64 {
+        self.evaluations.load(Ordering::SeqCst)
     }
 
     /// Parses the `OCCACHE_FAULT_POINT` syntax: `hang:B,S` (30 s
@@ -172,8 +180,8 @@ impl FaultPlan {
     /// Called inside the evaluation thread, so a hang is
     /// indistinguishable from a genuinely wedged simulation.
     pub fn trip(&self, config: &CacheConfig) {
+        let n = self.evaluations.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(period) = self.every {
-            let n = self.evaluations.fetch_add(1, Ordering::SeqCst) + 1;
             if n.is_multiple_of(period) {
                 panic!("injected worker panic (every {period} evaluations, at {n})");
             }
@@ -285,7 +293,8 @@ impl SupervisorPolicy {
 pub struct SuperviseStats {
     /// Evaluation attempts made after a first failure.
     pub retries: usize,
-    /// Watchdog threads leaked because their point overran the deadline.
+    /// Watchdog threads leaked because their point or engine pass
+    /// overran the deadline.
     pub abandoned_threads: usize,
     /// Points computed per one-pass engine, indexed by
     /// [`EngineKind::index`](occache_core::EngineKind::index).
@@ -294,6 +303,8 @@ pub struct SuperviseStats {
     /// engines disabled via `OCCACHE_NO_MULTISIM`, and per-member
     /// containment re-runs after a slice failure.
     pub direct_points: usize,
+    /// Pool workers that ran at least one task.
+    pub busy_workers: usize,
 }
 
 impl SuperviseStats {
@@ -305,6 +316,7 @@ impl SuperviseStats {
             *mine += theirs;
         }
         self.direct_points += other.direct_points;
+        self.busy_workers += other.busy_workers;
     }
 
     /// Points computed per one-pass engine, as `(kind, count)` pairs in
@@ -437,6 +449,119 @@ pub fn evaluate_results_supervised(
     evaluate_results_supervised_with(policy, configs, traces, warmup, None, |_, _| {})
 }
 
+/// One claimable task of the supervised pool.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// A direct unit: one config on the direct simulator.
+    Direct(usize),
+    /// The engine pass of unit `slice` over trace `trace`.
+    Pass { slice: usize, trace: usize },
+}
+
+/// One engine unit whose per-trace passes run as separate tasks, and
+/// what those passes have produced so far.
+struct SliceRun<'a> {
+    kind: EngineKind,
+    members: &'a [usize],
+    configs: Arc<[CacheConfig]>,
+    /// When the unit's first pass was claimed: the unit's deadline clock.
+    started: OnceLock<Instant>,
+    /// Per-trace engine results, landing in any order.
+    passes: Mutex<Vec<Option<Vec<Metrics>>>>,
+    /// A pass panicked, overran or ran out of time: the unit goes to
+    /// the direct fallback.
+    failed: AtomicBool,
+    /// Watchdog threads leaked by passes that overran the deadline.
+    abandoned: AtomicUsize,
+    /// Passes not yet finished; the worker that finishes the last one
+    /// completes the unit.
+    left: AtomicUsize,
+}
+
+impl<'a> SliceRun<'a> {
+    fn new(kind: EngineKind, members: &'a [usize], configs: &[CacheConfig], traces: usize) -> Self {
+        SliceRun {
+            kind,
+            members,
+            configs: members.iter().map(|&i| configs[i]).collect(),
+            started: OnceLock::new(),
+            passes: Mutex::new(vec![None; traces]),
+            failed: AtomicBool::new(false),
+            abandoned: AtomicUsize::new(0),
+            // A trace-less grid still gets one task, which folds the
+            // unit's empty average.
+            left: AtomicUsize::new(traces.max(1)),
+        }
+    }
+
+    /// Runs the pass over `traces[trace]` under the time the unit has
+    /// left. The unit's injected faults fire in pass 0, so each member
+    /// trips once per unit attempt however the passes are spread.
+    /// Returns whether this was the unit's last outstanding pass.
+    fn run_pass(
+        &self,
+        policy: &SupervisorPolicy,
+        trace: usize,
+        traces: &[Trace],
+        warmup: usize,
+    ) -> bool {
+        let started = *self.started.get_or_init(Instant::now);
+        if !self.failed.load(Ordering::SeqCst) {
+            let timeout = policy
+                .timeout
+                .map(|limit| limit.saturating_sub(started.elapsed()));
+            if timeout.is_some_and(|left| left.is_zero()) {
+                // Out of time before the pass began: nothing ran, so
+                // nothing leaked.
+                self.failed.store(true, Ordering::SeqCst);
+            } else {
+                let configs = Arc::clone(&self.configs);
+                let owned = traces.get(trace).cloned();
+                let fault = policy.fault.clone();
+                let run = run_with_deadline(timeout, move || {
+                    if trace == 0 {
+                        for config in configs.iter() {
+                            fault.trip(config);
+                        }
+                    }
+                    owned.map(|owned| slice_pass(&configs, &owned, warmup))
+                });
+                self.settle(trace, run);
+            }
+        }
+        self.left.fetch_sub(1, Ordering::SeqCst) == 1
+    }
+
+    /// Records how the pass over trace `trace` ended.
+    fn settle(&self, trace: usize, run: Deadline<Option<Vec<Metrics>>>) {
+        match run {
+            Deadline::Finished(Ok(Some(pass))) => {
+                self.passes.lock().expect("slice passes lock")[trace] = Some(pass);
+            }
+            Deadline::Finished(Ok(None)) => {}
+            Deadline::Finished(Err(_)) => self.failed.store(true, Ordering::SeqCst),
+            Deadline::Elapsed => {
+                self.failed.store(true, Ordering::SeqCst);
+                self.abandoned.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// The unit's points, folded in trace order, or `None` when a pass
+    /// failed. Called once, after the last pass.
+    fn fold(&self) -> Option<Vec<DesignPoint>> {
+        if self.failed.load(Ordering::SeqCst) {
+            return None;
+        }
+        let passes = std::mem::take(&mut *self.passes.lock().expect("slice passes lock"));
+        let passes: Vec<Vec<Metrics>> = passes
+            .into_iter()
+            .map(|pass| pass.expect("every pass of an unfailed unit landed"))
+            .collect();
+        Some(fold_slice(&self.configs, &passes))
+    }
+}
+
 /// [`evaluate_results_supervised`] with the pool knobs exposed: an
 /// explicit worker-count override (`None` honours `OCCACHE_SLICE_THREADS`,
 /// then `OCCACHE_JOBS` / hardware parallelism, via
@@ -446,9 +571,21 @@ pub fn evaluate_results_supervised(
 /// journal appends to its single writer thread and the serving layer
 /// uses to publish results as they complete.
 ///
+/// The pool's claimable task is one engine pass of one (engine unit,
+/// trace) pair; direct units stay one task each. The worker budget is
+/// capped at that task count, so a single-slice grid over several
+/// traces still runs on every worker. The worker that finishes a unit's
+/// last pass folds the per-trace metrics in trace order — bit-identical to
+/// [`evaluate_slice`](crate::eval::evaluate_slice) — and reports every
+/// member. The deadline stays per unit: its clock starts when the
+/// unit's first pass is claimed and each pass runs under the time left.
+/// A panic or overrun in any pass sends every member to the per-point
+/// direct fallback, counted once in `retries`; every pass that overran
+/// leaked its watchdog thread and adds one to `abandoned_threads`.
+///
 /// The pool is interrupt-aware: once [`crate::interrupt::requested`]
-/// turns true, workers finish their current unit and stop claiming new
-/// ones; unclaimed configs come back as
+/// turns true, workers finish their current task and stop claiming new
+/// ones; configs of units left unfinished come back as
 /// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
 /// failures (for which `on_point` is *not* called — nothing was
 /// evaluated).
@@ -467,15 +604,28 @@ where
     // units; the planner already routes engine-inexpressible configs
     // there unconditionally.
     let units = plan_units_disabling(configs, crate::config::multisim_disabled());
+    let mut slices = Vec::new();
+    let mut tasks = Vec::new();
+    for unit in &units {
+        match unit {
+            SweepUnit::Direct(i) => tasks.push(Task::Direct(*i)),
+            SweepUnit::Engine { kind, members } => {
+                let slice = slices.len();
+                slices.push(SliceRun::new(*kind, members, configs, traces.len()));
+                let passes = traces.len().max(1);
+                tasks.extend((0..passes).map(|trace| Task::Pass { slice, trace }));
+            }
+        }
+    }
     let workers = workers
-        .unwrap_or_else(|| crate::eval::slice_workers(units.len()))
-        .min(units.len().max(1))
+        .unwrap_or_else(|| crate::eval::slice_workers(tasks.len()))
+        .min(tasks.len())
         .max(1);
     let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
     let mut stats = SuperviseStats::default();
     let mut died: Vec<String> = Vec::new();
     let next = AtomicUsize::new(0);
-    let (units, next, on_point) = (&units, &next, &on_point);
+    let (tasks, slices, next, on_point) = (&tasks, &slices, &next, &on_point);
     thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
@@ -492,30 +642,24 @@ where
                     if crate::interrupt::requested() {
                         break;
                     }
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units.get(u) else { break };
-                    match unit {
-                        SweepUnit::Direct(i) => {
-                            let r =
-                                supervise_point(policy, configs[*i], traces, warmup, &mut local);
+                    let t = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(t) else { break };
+                    local.busy_workers = 1;
+                    match *task {
+                        Task::Direct(i) => {
+                            let r = supervise_point(policy, configs[i], traces, warmup, &mut local);
                             local.direct_points += 1;
-                            emit(&mut done, *i, r);
+                            emit(&mut done, i, r);
                         }
-                        SweepUnit::Engine { kind, members } => {
-                            let slice: Vec<CacheConfig> =
-                                members.iter().map(|&i| configs[i]).collect();
-                            let owned = traces.to_vec();
-                            let fault = policy.fault.clone();
-                            let run = run_with_deadline(policy.timeout, move || {
-                                for config in &slice {
-                                    fault.trip(config);
-                                }
-                                evaluate_slice(&slice, &owned, warmup)
-                            });
-                            match run {
-                                Deadline::Finished(Ok(points)) => {
-                                    local.engine_points[kind.index()] += members.len();
-                                    for (&i, p) in members.iter().zip(points) {
+                        Task::Pass { slice, trace } => {
+                            let run = &slices[slice];
+                            if !run.run_pass(policy, trace, traces, warmup) {
+                                continue;
+                            }
+                            match run.fold() {
+                                Some(points) => {
+                                    local.engine_points[run.kind.index()] += run.members.len();
+                                    for (&i, p) in run.members.iter().zip(points) {
                                         emit(&mut done, i, Ok(p));
                                     }
                                 }
@@ -524,12 +668,10 @@ where
                                 // member alone on the direct simulator
                                 // under its own deadline, so only the
                                 // broken or hung cell fails.
-                                Deadline::Finished(Err(_)) | Deadline::Elapsed => {
-                                    if matches!(run, Deadline::Elapsed) {
-                                        local.abandoned_threads += 1;
-                                    }
+                                None => {
+                                    local.abandoned_threads += run.abandoned.load(Ordering::SeqCst);
                                     local.retries += 1;
-                                    for &i in members {
+                                    for &i in run.members {
                                         let r = supervise_point(
                                             policy, configs[i], traces, warmup, &mut local,
                                         );
@@ -552,7 +694,7 @@ where
                     }
                     stats.merge(local);
                 }
-                // With per-unit containment a worker should never die,
+                // With per-task containment a worker should never die,
                 // but if one does, its claimed units surface below as
                 // failures rather than poisoning the whole sweep.
                 Err(payload) => died.push(panic_message(payload)),
@@ -855,6 +997,128 @@ mod tests {
         let (results, stats) = evaluate_results_supervised(&policy, &configs, &traces, 0);
         assert!(results.iter().all(Result::is_ok), "retry must recover");
         assert!(stats.retries >= 1);
+    }
+
+    /// A single-unit grid over three traces, so one unit splits into
+    /// three pass tasks, and the grid position of the `(8,4)` cell.
+    fn split_grid() -> (Vec<CacheConfig>, Vec<Trace>, usize) {
+        let (configs, _) = small_grid();
+        let traces = [
+            WorkloadSpec::pdp11_ed(),
+            WorkloadSpec::pdp11_opsys(),
+            WorkloadSpec::pdp11_roff(),
+        ]
+        .iter()
+        .map(|spec| Trace::new(spec.name(), spec.generator(0).take(1_000)))
+        .collect();
+        assert_eq!(
+            plan_units_disabling(&configs, crate::config::DisabledEngines::NONE).len(),
+            1
+        );
+        let cell = configs
+            .iter()
+            .position(|c| c.block_size() == 8 && c.sub_block_size() == 4)
+            .expect("the grid has an (8,4) cell");
+        (configs, traces, cell)
+    }
+
+    /// Every `Ok` result is bit-identical to the per-point path.
+    fn assert_siblings_exact(
+        configs: &[CacheConfig],
+        traces: &[Trace],
+        results: &[Result<DesignPoint, PointError>],
+    ) {
+        for (config, result) in configs.iter().zip(results) {
+            if let Ok(point) = result {
+                let direct = evaluate_point(*config, traces, 0);
+                assert_eq!(point.miss_ratio.to_bits(), direct.miss_ratio.to_bits());
+                assert_eq!(
+                    point.traffic_ratio.to_bits(),
+                    direct.traffic_ratio.to_bits()
+                );
+                assert_eq!(
+                    point.nibble_traffic_ratio.to_bits(),
+                    direct.nibble_traffic_ratio.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_unit_panic_retries_one_cell_and_trips_once_per_attempt() {
+        let (configs, traces, cell) = split_grid();
+        let mut policy = SupervisorPolicy::disabled();
+        policy.retries = 1;
+        policy.backoff = Duration::from_millis(1);
+        policy.fault = FaultPlan::panic_once(8, 4);
+        let (results, stats) =
+            evaluate_results_supervised_with(&policy, &configs, &traces, 0, Some(2), |_, _| {});
+        assert!(results.iter().all(Result::is_ok), "the retry must recover");
+        assert_eq!(stats.retries, 1, "one failed unit attempt, retried once");
+        assert_eq!(stats.direct_points, configs.len());
+        assert_siblings_exact(&configs, &traces, &results);
+        // The unit attempt trips members up to the panicking cell, once
+        // each, not once per trace; the fallback trips every member once.
+        assert_eq!(policy.fault.trips(), (cell + 1 + configs.len()) as u64);
+    }
+
+    #[test]
+    fn split_unit_hang_times_out_one_cell_and_trips_once_per_attempt() {
+        let (configs, traces, cell) = split_grid();
+        let mut policy = SupervisorPolicy::disabled();
+        // The deadline is far longer than a thread takes to start, so
+        // the second worker claims the other passes while pass 0 hangs.
+        policy.timeout = Some(Duration::from_secs(2));
+        policy.fault = FaultPlan::hang(8, 4, Duration::from_secs(60));
+        let (results, stats) =
+            evaluate_results_supervised_with(&policy, &configs, &traces, 0, Some(2), |_, _| {});
+        let failed: Vec<usize> = (0..results.len())
+            .filter(|&i| results[i].is_err())
+            .collect();
+        assert_eq!(failed, vec![cell], "only the hung cell fails");
+        assert_eq!(
+            results[cell].as_ref().map_err(|e| e.fault).err(),
+            Some(PointFault::Timeout)
+        );
+        assert_eq!(stats.retries, 1, "the unit's overrun is counted once");
+        // One watchdog leaked by the unit's pass 0, one by the cell's
+        // direct re-run.
+        assert_eq!(stats.abandoned_threads, 2);
+        // Pass 0 hung its worker, so the other passes ran on the second.
+        assert_eq!(stats.busy_workers, 2);
+        assert_siblings_exact(&configs, &traces, &results);
+        assert_eq!(policy.fault.trips(), (cell + 1 + configs.len()) as u64);
+    }
+
+    #[test]
+    fn every_overrun_pass_counts_its_leaked_thread() {
+        let (configs, traces, _) = split_grid();
+        let members: Vec<usize> = (0..configs.len()).collect();
+        let run = SliceRun::new(EngineKind::Lru, &members, &configs, traces.len());
+        // A unit that is simply too slow overruns in every pass claimed
+        // before the first overrun lands, and each leaks its watchdog.
+        for trace in 0..traces.len() {
+            run.settle(trace, Deadline::Elapsed);
+        }
+        assert!(run.fold().is_none(), "an overrun unit goes to the fallback");
+        assert_eq!(run.abandoned.load(Ordering::SeqCst), traces.len());
+    }
+
+    #[test]
+    fn a_pass_with_no_time_left_runs_nothing_and_leaks_nothing() {
+        let (configs, traces, _) = split_grid();
+        let members: Vec<usize> = (0..configs.len()).collect();
+        let run = SliceRun::new(EngineKind::Lru, &members, &configs, traces.len());
+        let mut policy = SupervisorPolicy::disabled();
+        policy.timeout = Some(Duration::ZERO);
+        policy.fault = FaultPlan::hang(8, 4, Duration::from_secs(60));
+        for trace in 0..traces.len() {
+            let last = run.run_pass(&policy, trace, &traces, 0);
+            assert_eq!(last, trace + 1 == traces.len());
+        }
+        assert!(run.fold().is_none(), "the unit ran out of time");
+        assert_eq!(run.abandoned.load(Ordering::SeqCst), 0);
+        assert_eq!(policy.fault.trips(), 0, "no pass started");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! a [`Trace`] backed by a regenerating iterator and one backed by the
 //! packed copy of the same stream must agree on the trace fingerprint
 //! (and therefore every journal point key), and drive the simulators —
-//! direct, one-pass sliced, and the paired two-trace interleave — to
-//! bit-identical metrics. This is the contract that lets sweeps fuse
+//! direct and one-pass sliced over several traces — to bit-identical
+//! metrics. This is the contract that lets sweeps fuse
 //! generation into simulation without touching any committed artifact.
 
 use occache_core::{simulate, CacheConfig};
@@ -80,7 +80,7 @@ proptest! {
         }
 
         // And through the sliced one-pass path, with two traces so the
-        // paired (interleaved) engine run is what actually executes.
+        // per-trace fold runs over more than one pass.
         let sliced_mat = evaluate_slice(
             &configs,
             &[materialized.clone(), materialized.clone()],
