@@ -29,17 +29,18 @@ echo "== full workspace tests =="
 cargo test --workspace -q
 
 echo "== perf smoke: one-pass sweep vs direct simulation =="
-# Regenerates a Table-7-style grid three ways (direct, sliced, and
-# generation-fused streaming), asserts bit-identical ratios, and
-# records wall-clock + throughput in BENCH_sweep.json.
+# Regenerates a Table-7-style grid on packed traces, direct vs the sliced
+# one-pass sweep for LRU and FIFO on one worker pool, asserts
+# bit-identical ratios, and records wall-clock + throughput in
+# BENCH_sweep.json.
 cargo build --release -q -p occache-bench --bin perf_smoke
 ./target/release/perf_smoke
 
-echo "-- perf trajectory gate: streamed + FIFO throughput vs committed baseline --"
+echo "-- perf trajectory gate: sliced LRU + FIFO throughput vs committed baseline --"
 # A real perf regression must fail loudly: each fresh measurement may
 # not fall more than 25% below its committed baseline (the timed walls
 # are already best-of-N, so scheduler noise is mostly filtered). The
-# gate covers both engine families — the streamed LRU fast path and the
+# gate covers both engine families — the sliced LRU fast path and the
 # one-pass FIFO engine — so a regression in either fails CI. An
 # improvement on every tracked metric rewrites the committed trajectory
 # point; anything short of that restores the baseline file so noise

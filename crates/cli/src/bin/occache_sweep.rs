@@ -1,14 +1,14 @@
 //! Binary wrapper; the logic lives in `occache_cli::sweep_cmd`.
 
 fn main() {
-    occache_experiments::interrupt::install();
+    occache_runtime::interrupt::install();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match occache_cli::sweep_cmd::run(&argv) {
         Ok(report) => {
             print!("{report}");
-            if occache_experiments::interrupt::requested() {
+            if occache_runtime::interrupt::requested() {
                 eprintln!("sweep interrupted; partial results reported above");
-                std::process::exit(i32::from(occache_experiments::interrupt::EXIT_INTERRUPTED));
+                std::process::exit(i32::from(occache_runtime::interrupt::EXIT_INTERRUPTED));
             }
         }
         Err(e) => {

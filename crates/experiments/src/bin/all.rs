@@ -43,7 +43,7 @@ fn run_all(bench: &mut Workbench) -> std::io::Result<()> {
     for run in runners {
         // Stop starting new artifacts once an interrupt arrives: what is
         // already journalled is sealed, and a resume picks up from here.
-        if occache_experiments::interrupt::requested() {
+        if occache_runtime::interrupt::requested() {
             break;
         }
         run(bench).emit()?;
@@ -52,16 +52,12 @@ fn run_all(bench: &mut Workbench) -> std::io::Result<()> {
 }
 
 fn main() -> ExitCode {
-    occache_experiments::interrupt::install();
+    occache_runtime::interrupt::install();
     if let Err(e) = occache_experiments::supervisor::SupervisorPolicy::try_from_env() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
     if let Err(e) = occache_experiments::sweep::try_jobs() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = occache_experiments::sweep::try_slice_threads() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -86,9 +82,9 @@ fn main() -> ExitCode {
     }) {
         Ok(path) => {
             eprintln!("wrote {}", path.display());
-            if occache_experiments::interrupt::requested() {
+            if occache_runtime::interrupt::requested() {
                 eprintln!("run interrupted; journal sealed and report marked — rerun to resume");
-                return ExitCode::from(occache_experiments::interrupt::EXIT_INTERRUPTED);
+                return ExitCode::from(occache_runtime::interrupt::EXIT_INTERRUPTED);
             }
             ExitCode::SUCCESS
         }

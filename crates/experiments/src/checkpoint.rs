@@ -299,13 +299,14 @@ where
     F: Fn(&[CacheConfig], &[Trace], usize) -> Vec<Result<DesignPoint, PointError>> + Sync,
 {
     // The batch form journals after the whole batch returns, in pending
-    // order — the historical semantics the tests pin down. It is a thin
-    // wrapper over the streamed form with a post-hoc sink.
-    evaluate_checkpointed_in_streamed(
+    // order — the historical semantics the tests pin down. It is the
+    // incremental form with a post-hoc sink.
+    evaluate_checkpointed_keyed(
         dir,
         artifact,
         configs,
         traces,
+        trace_fingerprint(traces),
         warmup,
         fresh,
         |cfgs, tr, w, sink: &JournalSink, _progress: &ProgressWriter| {
@@ -318,13 +319,14 @@ where
     )
 }
 
-/// The per-point completion sink a streamed checkpointed sweep hands to
-/// its evaluation function: `(pending_index, result)`. Must be called
+/// The per-point completion sink an incrementally journalled sweep hands
+/// to its evaluation function: `(pending_index, result)`. Must be called
 /// exactly once per pending config, from any thread; each call seals one
 /// journal line and forwards it to the single writer thread.
 pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Sync + 'a;
 
-/// [`evaluate_checkpointed_in`] with *incremental* journaling: `eval`
+/// The checkpointed sweep under both [`evaluate_checkpointed_in`] and
+/// [`evaluate_checkpointed`], with *incremental* journaling: `eval`
 /// receives a [`JournalSink`] and calls it as each pending point
 /// completes, so a crash or interrupt mid-batch loses only in-flight
 /// points, not the whole batch. All appends go through one writer
@@ -345,45 +347,14 @@ pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Syn
 /// returns. `eval` receives the [`ProgressWriter`] so it can fold in
 /// what only it observes (supervisor retry tallies).
 ///
+/// `fingerprint` is the trace set's [`trace_fingerprint`]: hashing every
+/// reference of every trace is a full pass over the set, so a caller
+/// that also reports the fingerprint computes it once and passes it in.
+///
 /// # Errors
 ///
 /// As [`evaluate_checkpointed_in`]; additionally any journal-append
 /// failure observed by the writer thread is reported after evaluation.
-pub fn evaluate_checkpointed_in_streamed<F>(
-    dir: &Path,
-    artifact: &str,
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    fresh: bool,
-    eval: F,
-) -> io::Result<SweepOutcome>
-where
-    F: FnOnce(
-        &[CacheConfig],
-        &[Trace],
-        usize,
-        &JournalSink,
-        &ProgressWriter,
-    ) -> Vec<Result<DesignPoint, PointError>>,
-{
-    let fingerprint = trace_fingerprint(traces);
-    evaluate_checkpointed_keyed(
-        dir,
-        artifact,
-        configs,
-        traces,
-        fingerprint,
-        warmup,
-        fresh,
-        eval,
-    )
-}
-
-/// [`evaluate_checkpointed_in_streamed`] with the trace-set fingerprint
-/// already computed: hashing every reference of every trace is a full
-/// pass over the set, so a caller that also reports the fingerprint
-/// computes it once and passes it in.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_checkpointed_keyed<F>(
     dir: &Path,

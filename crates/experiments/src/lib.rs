@@ -38,7 +38,6 @@ pub mod buffers;
 pub mod characterize;
 pub mod checkpoint;
 pub mod extensions;
-pub mod interrupt;
 pub mod manifest;
 pub mod paper;
 pub mod plot;

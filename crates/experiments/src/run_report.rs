@@ -229,7 +229,7 @@ pub fn flush(dir: &Path) -> io::Result<PathBuf> {
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render_in_progress(&snapshot, crate::interrupt::requested()),
+        &render_in_progress(&snapshot, occache_runtime::interrupt::requested()),
     )
 }
 
@@ -247,7 +247,7 @@ pub fn write(dir: &Path) -> io::Result<PathBuf> {
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render(&snapshot, crate::interrupt::requested()),
+        &render(&snapshot, occache_runtime::interrupt::requested()),
     )
 }
 

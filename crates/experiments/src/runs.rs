@@ -91,16 +91,12 @@ pub fn emit_main<F>(build: F) -> std::process::ExitCode
 where
     F: FnOnce(&mut Workbench) -> Artifact,
 {
-    crate::interrupt::install();
+    occache_runtime::interrupt::install();
     if let Err(e) = crate::supervisor::SupervisorPolicy::try_from_env() {
         eprintln!("error: {e}");
         return std::process::ExitCode::FAILURE;
     }
     if let Err(e) = crate::sweep::try_jobs() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    if let Err(e) = crate::sweep::try_slice_threads() {
         eprintln!("error: {e}");
         return std::process::ExitCode::FAILURE;
     }
@@ -123,11 +119,13 @@ where
         Ok(()) => match crate::run_report::write(&crate::report::results_dir()) {
             Ok(path) => {
                 eprintln!("wrote {}", path.display());
-                if crate::interrupt::requested() {
+                if occache_runtime::interrupt::requested() {
                     eprintln!(
                         "run interrupted; journal sealed and report marked — rerun to resume"
                     );
-                    return std::process::ExitCode::from(crate::interrupt::EXIT_INTERRUPTED);
+                    return std::process::ExitCode::from(
+                        occache_runtime::interrupt::EXIT_INTERRUPTED,
+                    );
                 }
                 std::process::ExitCode::SUCCESS
             }

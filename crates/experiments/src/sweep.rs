@@ -9,17 +9,20 @@
 //! their import paths. This module adds only what needs the workload
 //! crate: turning [`WorkloadSpec`]s into traces and building the paper's
 //! standard configurations.
+//!
+//! The benchmark under `perfbench/` imports these re-exports, so retiring
+//! them means changing the benchmark first.
 
 use occache_core::{CacheConfig, FetchPolicy};
 use occache_workloads::{Architecture, WorkloadSpec};
 
 pub use occache_runtime::config::{
     multisim_disabled, replacement_override, try_jobs, try_multisim_disabled,
-    try_replacement_override, try_slice_threads, DisabledEngines,
+    try_replacement_override, DisabledEngines,
 };
 pub use occache_runtime::eval::{
-    evaluate_point, evaluate_results_with, evaluate_slice, plan_units, plan_units_disabling,
-    pool_workers, slice_workers, DesignPoint, PointError, PointFault, SweepUnit, Trace,
+    evaluate_point, evaluate_slice, plan_units, plan_units_disabling, slice_workers, DesignPoint,
+    PointError, PointFault, SweepUnit, Trace,
 };
 pub use occache_runtime::executor::{
     batch_of, evaluate_points, evaluate_points_isolated, evaluate_points_isolated_with,
@@ -32,23 +35,6 @@ pub fn materialize(specs: &[WorkloadSpec], len: usize) -> Vec<Trace> {
     specs
         .iter()
         .map(|spec| Trace::new(spec.name(), spec.generator(0).take(len)))
-        .collect()
-}
-
-/// Streamed counterparts of [`materialize`]: each trace regenerates its
-/// reference stream on every iteration instead of holding a packed copy,
-/// so evaluation is generation-fused — references flow from the workload
-/// generator straight into the simulators. Because [`WorkloadSpec`]
-/// generators are deterministic per seed, a streamed trace replays
-/// exactly the stream its materialized twin packs, and fingerprints,
-/// journal keys and metrics come out identical.
-pub fn stream_traces(specs: &[WorkloadSpec], len: usize) -> Vec<Trace> {
-    specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Trace::streamed(spec.name(), len, move || spec.generator(0))
-        })
         .collect()
 }
 

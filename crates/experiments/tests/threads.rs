@@ -3,7 +3,7 @@
 //! Real: a Table 7 grid of one architecture is a single engine unit,
 //! and the executor splits it into one task per trace, so a budget of
 //! two workers must put both of them to work. Invisible: Table 7
-//! regenerated with `OCCACHE_SLICE_THREADS=1`, `=2` and `=4` must write
+//! regenerated with `OCCACHE_JOBS=1`, `=2` and `=4` must write
 //! byte-identical CSVs and a byte-identical `MANIFEST.json`. Worker
 //! threads race only on wall clock — per-trace passes are folded in
 //! trace order and results stitched back in planning order before
@@ -11,7 +11,7 @@
 //! committed byte.
 //!
 //! Both tests depend on process-global environment (`OCCACHE_RESULTS`,
-//! `OCCACHE_JOBS`, `OCCACHE_SLICE_THREADS`, `OCCACHE_NO_MULTISIM`), so
+//! `OCCACHE_JOBS`, `OCCACHE_NO_MULTISIM`), so
 //! each holds [`ENV`] for its whole run and they never overlap.
 
 use std::collections::BTreeMap;
@@ -36,8 +36,8 @@ const REFS: usize = 2_000;
 /// Serialises the tests of this file over the process environment.
 static ENV: Mutex<()> = Mutex::new(());
 
-/// Runs Table 7 into a fresh scratch results dir with the given slice
-/// thread count and returns `file name -> bytes` for every emitted
+/// Runs Table 7 into a fresh scratch results dir with the given
+/// `OCCACHE_JOBS` worker count and returns `file name -> bytes` for every emitted
 /// file (CSVs plus `MANIFEST.json`).
 fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
     let scratch =
@@ -45,8 +45,7 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("create scratch results dir");
     std::env::set_var("OCCACHE_RESULTS", &scratch);
-    std::env::set_var("OCCACHE_JOBS", "1");
-    std::env::set_var("OCCACHE_SLICE_THREADS", threads);
+    std::env::set_var("OCCACHE_JOBS", threads);
     std::env::remove_var("OCCACHE_NO_MULTISIM");
     std::env::remove_var("OCCACHE_REPLACEMENT");
     std::env::remove_var("OCCACHE_REFS");
@@ -76,7 +75,7 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
             files.insert(name, std::fs::read(&path).expect("read emitted file"));
         }
     }
-    std::env::remove_var("OCCACHE_SLICE_THREADS");
+    std::env::remove_var("OCCACHE_JOBS");
     let _ = std::fs::remove_dir_all(&scratch);
     files
 }
@@ -103,7 +102,7 @@ fn slice_thread_count_never_changes_artifact_bytes() {
         for (name, bytes) in &serial {
             assert_eq!(
                 bytes, &threaded[name],
-                "{name} differs between OCCACHE_SLICE_THREADS=1 and ={threads}"
+                "{name} differs between OCCACHE_JOBS=1 and ={threads}"
             );
         }
     }

@@ -16,8 +16,7 @@
 //! |---|---|---|
 //! | `OCCACHE_REFS` | [`env_usize`] | caller-supplied (paper: 1 M) |
 //! | `OCCACHE_WARMUP` | [`env_usize`] | 0 |
-//! | `OCCACHE_JOBS` | [`try_jobs`] | hardware parallelism |
-//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | `OCCACHE_JOBS`, else hardware; capped at the (unit, trace) task count, so it applies to single-unit grids too |
+//! | `OCCACHE_JOBS` | [`try_jobs`] | hardware parallelism; capped at the (unit, trace) task count, so it applies to single-unit grids too |
 //! | `OCCACHE_NO_MULTISIM` | [`try_multisim_disabled`] | none disabled |
 //! | `OCCACHE_REPLACEMENT` | [`try_replacement_override`] | grid default (LRU) |
 //! | `OCCACHE_FRESH` | [`fresh_requested`] | off |
@@ -67,34 +66,20 @@ pub fn env_usize_opt(var: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// Worker-thread override for the sweep pools: `OCCACHE_JOBS` env var.
+/// Worker-thread override for the sweep pool (and serve's worker pool
+/// when `OCCACHE_SERVE_WORKERS` is unset): `OCCACHE_JOBS` env var.
 /// `Ok(None)` (unset or `0`) means "use the hardware parallelism";
 /// `OCCACHE_JOBS=1` forces a serial pool, which preserves byte-identical
-/// artifact and journal-append order.
+/// artifact and journal-append order. The sweep pool schedules one task
+/// per engine pass of one (unit, trace) pair, so the setting takes
+/// effect even on a grid that plans to a single engine unit, such as
+/// Table 7.
 ///
 /// # Errors
 ///
 /// Returns a message naming the variable when it is set but malformed.
 pub fn try_jobs() -> Result<Option<usize>, String> {
     env_usize("OCCACHE_JOBS", 0).map(|n| if n == 0 { None } else { Some(n) })
-}
-
-/// Worker-thread override specific to sweep-slice execution:
-/// `OCCACHE_SLICE_THREADS` env var. `Ok(None)` (unset or `0`) means
-/// "defer" — callers fall through to [`try_jobs`] and then to the
-/// hardware parallelism; `OCCACHE_SLICE_THREADS=1` forces slices to run
-/// serially. The sweep pool schedules one task per engine pass of one
-/// (unit, trace) pair, so the setting takes effect even on a grid that
-/// plans to a single engine unit, such as Table 7. Unlike `OCCACHE_JOBS` it does not touch the serving
-/// layer's pools, so an operator can pin slice concurrency without
-/// resizing everything else. Malformed values are an error naming the
-/// variable — same strictness as every other `OCCACHE_*` knob.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn try_slice_threads() -> Result<Option<usize>, String> {
-    env_usize("OCCACHE_SLICE_THREADS", 0).map(|n| if n == 0 { None } else { Some(n) })
 }
 
 /// How many completed points between progress-feed flushes:

@@ -18,55 +18,34 @@
 //! equivalence tests and timing comparisons; see
 //! [`crate::config::multisim_disabled`]).
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
 use occache_core::{
     simulate, simulate_many, BusModel, CacheConfig, EngineKind, Metrics, MAX_MULTISIM_CONFIGS,
 };
+use occache_trace::packed::PackedIter;
 use occache_trace::{MemRef, PackedTrace};
 
 /// A named reference stream, reusable across configurations.
 ///
-/// Two backings exist. [`Trace::new`] fully materialises the stream
-/// into a shared [`PackedTrace`] (9 bytes per reference instead of 16),
-/// so cloning a `Trace` — as the memoizing workbench and the sweep
-/// workers do — bumps a reference count rather than copying a
-/// million-entry stream. [`Trace::streamed`] instead stores a
-/// replayable *factory*: every [`Trace::iter`] call regenerates the
-/// stream on the fly, so evaluation feeds references straight from the
-/// source (e.g. a workload generator) into the simulators without a
-/// packed copy ever existing. Both backings yield identical references
-/// in identical order for the same underlying stream, so journal keys,
-/// fingerprints and metrics do not depend on which one a sweep used.
+/// The stream is packed once into a shared [`PackedTrace`] (9 bytes per
+/// reference instead of 16), so cloning a `Trace` — as the memoizing
+/// workbench, serve's trace sets and the sweep workers do — bumps a
+/// reference count rather than copying a million-entry stream.
 #[derive(Clone)]
 pub struct Trace {
     /// Trace name (as in the paper's workload tables).
     pub name: String,
-    source: TraceBacking,
-}
-
-#[derive(Clone)]
-enum TraceBacking {
-    /// Fully materialised, shared by reference across workers.
-    Packed(Arc<PackedTrace>),
-    /// Regenerated on every iteration from a replayable factory.
-    Streamed {
-        len: usize,
-        make: Arc<dyn Fn() -> Box<dyn Iterator<Item = MemRef> + Send> + Send + Sync>,
-    },
+    refs: Arc<PackedTrace>,
 }
 
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("Trace");
-        s.field("name", &self.name).field("len", &self.len());
-        match &self.source {
-            TraceBacking::Packed(_) => s.field("backing", &"packed"),
-            TraceBacking::Streamed { .. } => s.field("backing", &"streamed"),
-        };
-        s.finish()
+        f.debug_struct("Trace")
+            .field("name", &self.name)
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -75,86 +54,29 @@ impl Trace {
     pub fn new(name: impl Into<String>, refs: impl IntoIterator<Item = MemRef>) -> Self {
         Trace {
             name: name.into(),
-            source: TraceBacking::Packed(Arc::new(refs.into_iter().collect())),
-        }
-    }
-
-    /// A streamed trace: `make` must return a fresh iterator replaying
-    /// the *same* `len`-reference stream on every call (a deterministic
-    /// generator reseeded identically). Evaluation then consumes the
-    /// stream chunk-by-chunk without materialising it; iteration is
-    /// truncated to `len` so the declared length is authoritative.
-    pub fn streamed<F, I>(name: impl Into<String>, len: usize, make: F) -> Self
-    where
-        F: Fn() -> I + Send + Sync + 'static,
-        I: Iterator<Item = MemRef> + Send + 'static,
-    {
-        Trace {
-            name: name.into(),
-            source: TraceBacking::Streamed {
-                len,
-                make: Arc::new(move || Box::new(make())),
-            },
+            refs: Arc::new(refs.into_iter().collect()),
         }
     }
 
     /// Number of references in the stream.
     pub fn len(&self) -> usize {
-        match &self.source {
-            TraceBacking::Packed(refs) => refs.len(),
-            TraceBacking::Streamed { len, .. } => *len,
-        }
+        self.refs.len()
     }
 
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.refs.is_empty()
     }
 
-    /// Whether this trace regenerates on iteration instead of replaying
-    /// a packed copy.
-    pub fn is_streamed(&self) -> bool {
-        matches!(self.source, TraceBacking::Streamed { .. })
+    /// Iterates the reference stream, decoding the packed copy in place.
+    pub fn iter(&self) -> PackedIter<'_> {
+        self.refs.iter()
     }
 
-    /// Iterates the reference stream (decoding the packed copy, or
-    /// regenerating via the factory).
-    pub fn iter(&self) -> TraceIter<'_> {
-        match &self.source {
-            TraceBacking::Packed(refs) => TraceIter::Packed(refs.iter()),
-            TraceBacking::Streamed { len, make } => TraceIter::Streamed(make().take(*len)),
-        }
-    }
-
-    /// Whether two traces share the same backing store (packed buffer or
-    /// stream factory) — i.e. cloning one of them produced the other.
+    /// Whether two traces share the same packed buffer — i.e. cloning
+    /// one of them produced the other.
     pub fn shares_backing(&self, other: &Trace) -> bool {
-        match (&self.source, &other.source) {
-            (TraceBacking::Packed(a), TraceBacking::Packed(b)) => Arc::ptr_eq(a, b),
-            (TraceBacking::Streamed { make: a, .. }, TraceBacking::Streamed { make: b, .. }) => {
-                Arc::ptr_eq(a, b)
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Iterator over a [`Trace`]'s references, whichever backing it has.
-pub enum TraceIter<'a> {
-    /// Decoding a packed trace in place.
-    Packed(occache_trace::packed::PackedIter<'a>),
-    /// Draining a freshly regenerated stream.
-    Streamed(std::iter::Take<Box<dyn Iterator<Item = MemRef> + Send>>),
-}
-
-impl Iterator for TraceIter<'_> {
-    type Item = MemRef;
-
-    fn next(&mut self) -> Option<MemRef> {
-        match self {
-            TraceIter::Packed(it) => it.next(),
-            TraceIter::Streamed(it) => it.next(),
-        }
+        Arc::ptr_eq(&self.refs, &other.refs)
     }
 }
 
@@ -461,108 +383,21 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Evaluates one configuration with panic containment: a panic inside
-/// `eval` becomes an `Err(PointError)` instead of unwinding the sweep.
-fn evaluate_contained<F>(
-    config: CacheConfig,
-    traces: &[Trace],
-    warmup: usize,
-    eval: &F,
-) -> Result<DesignPoint, PointError>
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint,
-{
-    panic::catch_unwind(AssertUnwindSafe(|| eval(config, traces, warmup)))
-        .map_err(|payload| PointError::panicked(config, panic_message(payload)))
-}
-
-/// Fault-isolated parallel sweep returning one result per config, in
-/// input order. The building block under the isolated-sweep entry points
-/// and the checkpointed sweeps, which need the per-index mapping.
-pub fn evaluate_results_with<F>(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    eval: F,
-) -> Vec<Result<DesignPoint, PointError>>
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
-{
-    let workers = pool_workers(configs.len());
-    let chunk = configs.len().div_ceil(workers.max(1)).max(1);
-    let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
-    let eval = &eval;
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, block) in configs.chunks(chunk).enumerate() {
-            handles.push((
-                i * chunk,
-                block,
-                scope.spawn(move || {
-                    block
-                        .iter()
-                        .map(|&c| evaluate_contained(c, traces, warmup, eval))
-                        .collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (start, block, h) in handles {
-            match h.join() {
-                Ok(results) => {
-                    for (j, r) in results.into_iter().enumerate() {
-                        slots[start + j] = Some(r);
-                    }
-                }
-                // With per-point containment a worker should never die, but
-                // if one does, name every config it was carrying rather
-                // than poisoning the whole sweep.
-                Err(payload) => {
-                    let message = format!(
-                        "sweep worker thread died outside point isolation: {}",
-                        panic_message(payload)
-                    );
-                    for (j, &c) in block.iter().enumerate() {
-                        slots[start + j] = Some(Err(PointError::worker_loss(c, message.clone())));
-                    }
-                }
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk filled its slots"))
-        .collect()
-}
-
-/// The worker count a sweep pool should use for `units` schedulable
-/// units: the `OCCACHE_JOBS` override when set (malformed values fall
-/// back silently — bins validate via [`crate::config::try_jobs`] at
-/// startup), otherwise the hardware parallelism, never more workers than
-/// units and never zero.
-pub fn pool_workers(units: usize) -> usize {
+/// The worker count for a sweep pool over `tasks` schedulable tasks:
+/// `OCCACHE_JOBS` when set, otherwise the hardware parallelism; always
+/// capped at `tasks` and never zero. The supervised executor counts one
+/// task per engine pass of one (unit, trace) pair plus one per direct
+/// point, so a single-unit grid over several traces still fills the
+/// pool. Binaries validate `OCCACHE_JOBS` strictly at startup via
+/// [`crate::config::try_jobs`]; by the time a pool is being sized, a
+/// malformed value falls back to the default rather than aborting
+/// mid-sweep.
+pub fn slice_workers(tasks: usize) -> usize {
     let hardware = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
     crate::config::try_jobs()
         .unwrap_or(None)
         .unwrap_or(hardware)
-        .min(units.max(1))
-}
-
-/// Worker count for slice-level sweep execution: `OCCACHE_SLICE_THREADS`
-/// when set (so an operator can pin sweep concurrency without resizing
-/// the serving pools), otherwise [`pool_workers`]'s `OCCACHE_JOBS` /
-/// hardware-parallelism fallback; always capped at `units`, the number
-/// of schedulable tasks (the supervised executor counts one task per
-/// engine pass of one trace, so a single-slice grid over several
-/// traces still fills the pool).
-/// Binaries validate the variable strictly at startup via
-/// [`crate::config::try_slice_threads`]; by the time a pool is being
-/// sized, a malformed value falls back to the default rather than
-/// aborting mid-sweep.
-pub fn slice_workers(units: usize) -> usize {
-    match crate::config::try_slice_threads().unwrap_or(None) {
-        Some(n) => n.min(units.max(1)),
-        None => pool_workers(units),
-    }
+        .min(tasks.max(1))
 }

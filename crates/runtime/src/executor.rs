@@ -36,8 +36,8 @@ use occache_core::{CacheConfig, EngineKind, Metrics};
 
 use crate::config::parse_timeout;
 use crate::eval::{
-    evaluate_point, evaluate_results_with, fold_slice, panic_message, plan_units_disabling,
-    slice_pass, DesignPoint, PointError, SweepUnit, Trace,
+    evaluate_point, fold_slice, panic_message, plan_units_disabling, slice_pass, DesignPoint,
+    PointError, SweepUnit, Trace,
 };
 use crate::journal::JournalHealth;
 
@@ -563,9 +563,8 @@ impl<'a> SliceRun<'a> {
 }
 
 /// [`evaluate_results_supervised`] with the pool knobs exposed: an
-/// explicit worker-count override (`None` honours `OCCACHE_SLICE_THREADS`,
-/// then `OCCACHE_JOBS` / hardware parallelism, via
-/// [`crate::eval::slice_workers`]) and an
+/// explicit worker-count override (`None` honours `OCCACHE_JOBS`, else
+/// the hardware parallelism, via [`crate::eval::slice_workers`]) and an
 /// `on_point` hook called exactly once per config — from worker threads,
 /// as each result lands — which the checkpoint layer uses to stream
 /// journal appends to its single writer thread and the serving layer
@@ -731,8 +730,7 @@ where
 /// [`evaluate_results_supervised`], of which this is the no-deadline,
 /// no-retry special case). A panic inside an engine slice does not fail
 /// its sibling configs: each member is retried alone on the direct
-/// simulator, so fault isolation stays per-point exactly as in
-/// [`crate::eval::evaluate_results_with`].
+/// simulator, so fault isolation stays per-point.
 pub fn evaluate_results_sliced(
     configs: &[CacheConfig],
     traces: &[Trace],
@@ -753,8 +751,31 @@ where
     F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
 {
     move |configs: &[CacheConfig], traces: &[Trace], warmup: usize| {
-        evaluate_results_with(configs, traces, warmup, &eval)
+        evaluate_each(configs, traces, warmup, &eval)
     }
+}
+
+/// Evaluates `configs` one after another with `eval`, in input order; a
+/// panic inside `eval` becomes [`PointError::panicked`] for that config
+/// instead of unwinding the sweep. This is the serial loop under the
+/// per-point test seams ([`batch_of`], [`evaluate_points_isolated_with`]);
+/// every production sweep runs on the supervised pool.
+fn evaluate_each<F>(
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    warmup: usize,
+    eval: &F,
+) -> Vec<Result<DesignPoint, PointError>>
+where
+    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint,
+{
+    configs
+        .iter()
+        .map(|&config| {
+            panic::catch_unwind(AssertUnwindSafe(|| eval(config, traces, warmup)))
+                .map_err(|payload| PointError::panicked(config, panic_message(payload)))
+        })
+        .collect()
 }
 
 /// The outcome of a fault-isolated (and possibly resumed) sweep.
@@ -823,7 +844,7 @@ pub fn failure_note(failures: &[PointError]) -> Option<String> {
     Some(note)
 }
 
-/// Fault-isolated parallel sweep with a custom evaluation function.
+/// Fault-isolated serial sweep with a custom evaluation function.
 ///
 /// Each point runs under `catch_unwind`: a panicking point is reported in
 /// [`SweepOutcome::failures`] (named by its config) and the rest of the
@@ -839,7 +860,7 @@ where
     F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
 {
     let mut outcome = SweepOutcome::default();
-    for result in evaluate_results_with(configs, traces, warmup, eval) {
+    for result in evaluate_each(configs, traces, warmup, &eval) {
         match result {
             Ok(p) => outcome.points.push(p),
             Err(e) => outcome.failures.push(e),
@@ -954,9 +975,8 @@ mod tests {
             configs.len()
         );
         assert_eq!(stats.direct_points, 0);
-        let plain = evaluate_results_with(&configs, &traces, 0, evaluate_point);
-        for (s, p) in supervised.iter().zip(&plain) {
-            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
+        for (s, &config) in supervised.iter().zip(&configs) {
+            let (s, p) = (s.as_ref().unwrap(), evaluate_point(config, &traces, 0));
             assert_eq!(s.config, p.config);
             assert_eq!(s.miss_ratio.to_bits(), p.miss_ratio.to_bits());
             assert_eq!(s.traffic_ratio.to_bits(), p.traffic_ratio.to_bits());

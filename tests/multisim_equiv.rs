@@ -2,11 +2,13 @@
 //! produce metrics **exactly equal** (every counter, hence every derived
 //! ratio) to running the direct simulator once per configuration —
 //! across random geometries (including sub-block < block), random
-//! reference streams and random warm-up prefixes.
+//! reference streams and random warm-up prefixes — and the sweep layer's
+//! per-trace fold over it must equal the per-point average bit for bit.
 
 use proptest::prelude::*;
 
 use occache::core::{simulate, simulate_many, CacheConfig};
+use occache::experiments::sweep::{evaluate_point, evaluate_slice, Trace};
 use occache::trace::{AccessKind, Address, MemRef};
 
 /// An arbitrary engine-eligible slice: one block size at up to four net
@@ -81,11 +83,14 @@ proptest! {
     }
 
     /// The same equality under the warm-start discipline: an arbitrary
-    /// warm-up prefix is simulated but excluded from the counters.
+    /// warm-up prefix is simulated but excluded from the counters. The
+    /// sweep layer must keep it: a slice folded over two traces with a
+    /// non-zero warm-up equals the per-point average bit for bit.
     #[test]
     fn engine_equals_direct_simulation_with_warmup(
         configs in arb_slice(),
         trace in arb_trace(600),
+        other in arb_trace(600),
         warmup in 0usize..600,
     ) {
         let all = simulate_many(&configs, trace.iter().copied(), warmup)
@@ -93,6 +98,28 @@ proptest! {
         for (config, metrics) in configs.iter().zip(&all) {
             let direct = simulate(*config, trace.iter().copied(), warmup);
             prop_assert_eq!(*metrics, direct, "{} warmup {}", config, warmup);
+        }
+
+        let warmup = warmup.max(1);
+        let traces = [Trace::new("a", trace), Trace::new("b", other)];
+        let sliced = evaluate_slice(&configs, &traces, warmup);
+        for (config, s) in configs.iter().zip(&sliced) {
+            let p = evaluate_point(*config, &traces, warmup);
+            prop_assert_eq!(s.config, p.config);
+            prop_assert_eq!(s.miss_ratio.to_bits(), p.miss_ratio.to_bits(), "{}", config);
+            prop_assert_eq!(s.traffic_ratio.to_bits(), p.traffic_ratio.to_bits(), "{}", config);
+            prop_assert_eq!(
+                s.nibble_traffic_ratio.to_bits(),
+                p.nibble_traffic_ratio.to_bits(),
+                "{}",
+                config
+            );
+            prop_assert_eq!(
+                s.redundant_load_fraction.to_bits(),
+                p.redundant_load_fraction.to_bits(),
+                "{}",
+                config
+            );
         }
     }
 }
