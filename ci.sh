@@ -20,6 +20,14 @@ echo "== tier-1: release build + root-package tests =="
 cargo build --release
 cargo test -q
 
+echo "== rotating proptest seed: engine equivalence on fresh cases =="
+# Tier-1 replays each property test's fixed per-name cases; this rerun
+# mixes a fresh seed into every one of them. The seed is echoed so a
+# failure can be replayed with the same OCCACHE_PROPTEST_SEED.
+PROPTEST_SEED=$(date +%s)
+echo "OCCACHE_PROPTEST_SEED=$PROPTEST_SEED"
+OCCACHE_PROPTEST_SEED="$PROPTEST_SEED" cargo test -q --test policy_equiv --test multisim_equiv
+
 echo "== benchmark package: build + its helpers' tests =="
 # perfbench is its own Cargo workspace over the library crates, so an
 # API change it depends on surfaces here rather than in a benchmark run.
@@ -135,6 +143,27 @@ fi
 echo "$LOCK_ERR" | grep -qi "lock" \
   || { echo "FAIL: lock contention diagnostic missing: $LOCK_ERR"; exit 1; }
 rm -f "$INT_DIR/.checkpoint/LOCK"
+
+echo "-- Table 8 journals, verifies, and resumes without recomputing --"
+# Table 8 mixes an engine unit with direct load-forward units on the
+# checkpointed sweep: verify must re-simulate its journal points, and a
+# second run must restore every point and rewrite the same CSV.
+cargo build --release -q -p occache-experiments --bin table8
+cargo build --release -q -p occache-top --bin occache-top
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table8 >/dev/null
+T8_VERIFY=$(./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2)
+echo "$T8_VERIFY"
+if echo "$T8_VERIFY" | grep -q "table8.jsonl: no grid reconstruction"; then
+  echo "FAIL: verify skipped re-simulating the Table 8 journal"; exit 1
+fi
+cp "$INT_DIR/table8.csv" target/ci-table8-first.csv
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table8 >/dev/null
+T8_COMPUTED=$(./target/release/occache-top --parse-metrics "$INT_DIR/RUN_METRICS.prom" \
+                --get occache_run_points_computed_total)
+[ "$T8_COMPUTED" = "0" ] \
+  || { echo "FAIL: resumed Table 8 recomputed $T8_COMPUTED points"; exit 1; }
+cmp "$INT_DIR/table8.csv" target/ci-table8-first.csv \
+  || { echo "FAIL: resumed Table 8 wrote a different table8.csv"; exit 1; }
 
 echo "== policy gate: FIFO Table 7 rides the one-pass engines end to end =="
 # A full Table 7 run down the FIFO axis must compute every point on a

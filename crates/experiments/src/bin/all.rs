@@ -1,9 +1,11 @@
 //! Regenerates every table and figure in one run, sharing materialised
 //! traces across artifacts. Writes all CSVs under `results/`.
 //!
-//! Grid sweeps (Table 7, Figures 1–8) checkpoint completed design points
-//! under `results/.checkpoint/`; an interrupted run resumes where it left
-//! off. Pass `--fresh` to recompute everything.
+//! Grid sweeps (Table 7, Figures 1–8, Table 8, the headline, RISC II
+//! and the ablations) checkpoint completed design points under
+//! `results/.checkpoint/`; an interrupted run resumes where it left off,
+//! and Figure 9 restores Table 8's points instead of re-simulating them.
+//! Pass `--fresh` to recompute everything.
 
 use std::process::ExitCode;
 

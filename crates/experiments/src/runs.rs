@@ -8,13 +8,18 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use occache_core::{simulate, BusModel, CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
+use occache_core::{
+    simulate, CacheConfig, CacheConfigBuilder, FetchPolicy, Metrics, ReplacementPolicy,
+};
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
 
 use crate::paper;
 use crate::plot::{ScatterPlot, Series};
 use crate::report::{points_to_csv, relative_error, table7_block};
-use crate::sweep::{standard_config, table1_pairs, trace_len, DesignPoint, Trace};
+use crate::sweep::{
+    failure_note, standard_config, table1_pairs, trace_len, DesignPoint, PointError, SweepOutcome,
+    Trace,
+};
 
 /// A regenerated artifact: report text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -295,8 +300,10 @@ fn paper_grid(arch: Architecture, nets: &[u64]) -> Vec<CacheConfig> {
 }
 
 /// One homogeneous slice of a journalled artifact's sweep: the configs
-/// evaluated against one trace set with one warm-up. Verification
-/// re-derives journal keys from these.
+/// evaluated against one trace set with one warm-up. Each artifact's
+/// groups are defined once (see [`journalled_grid`]); its runner sweeps
+/// them with [`sweep_groups`] and verification re-derives journal keys
+/// from the same definition.
 #[derive(Debug, Clone)]
 pub struct GridGroup {
     /// The config grid of this slice, in sweep order.
@@ -307,38 +314,128 @@ pub struct GridGroup {
     pub warmup: usize,
 }
 
-/// The artifacts that keep checkpoint journals (grid sweeps): Table 7
-/// and Figures 1–8.
+/// The artifacts that keep checkpoint journals: Table 7, Figures 1–8,
+/// Table 8 (whose journal Figure 9 also reads), the headline summary,
+/// the RISC II curve and the ablations.
 pub fn journalled_artifacts() -> &'static [&'static str] {
     &[
-        "table7", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+        "table7",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "table8",
+        "headline",
+        "risc2",
+        "ablations",
     ]
 }
 
-/// Reconstructs the sweep grid behind a journalled artifact so a
-/// verifier can re-derive journal keys and re-simulate sampled points.
-/// `table7` yields one group per architecture (each with its own trace
-/// set and warm-up); each figure yields a single group. Returns `None`
-/// for names that keep no journal.
+/// The sweep grid behind a journalled artifact, in the order its runner
+/// sweeps and renders it, so a verifier can re-derive journal keys and
+/// re-simulate sampled points. `table7` yields one group per
+/// architecture (each with its own trace set and warm-up), each figure,
+/// Table 8 and RISC II a single group, `headline` one single-point group
+/// per architecture and `ablations` one group per section and trace set
+/// (see [`ablation_groups`]). Returns `None` for names that keep no
+/// journal.
 pub fn journalled_grid(bench: &mut Workbench, artifact: &str) -> Option<Vec<GridGroup>> {
-    if artifact == "table7" {
-        let groups = Architecture::ALL
+    let groups = match artifact {
+        "table7" => Architecture::ALL
             .into_iter()
-            .map(|arch| GridGroup {
-                configs: paper_grid(arch, &[64, 256, 1024]),
-                warmup: bench.warmup_for(arch),
-                traces: bench.arch_traces(arch).to_vec(),
-            })
-            .collect();
-        return Some(groups);
-    }
-    let figure: u8 = artifact.strip_prefix("fig")?.parse().ok()?;
-    let &(_, arch, nets, _) = FIGURES.iter().find(|&&(n, ..)| n == figure)?;
-    Some(vec![GridGroup {
-        configs: paper_grid(arch, &nets),
+            .map(|arch| arch_group(bench, arch, paper_grid(arch, &[64, 256, 1024])))
+            .collect(),
+        "table8" => vec![GridGroup {
+            configs: paper::TABLE8.iter().map(table8_config).collect(),
+            warmup: bench.warmup_for(Architecture::Z8000),
+            traces: bench.load_forward_traces().to_vec(),
+        }],
+        "headline" => Architecture::ALL
+            .into_iter()
+            .map(|arch| arch_group(bench, arch, vec![standard_config(arch, 1024, 8, 8)]))
+            .collect(),
+        "risc2" => vec![GridGroup {
+            configs: paper::RISCII_CURVE
+                .iter()
+                .map(|&(net, _)| direct_mapped(net, 8, 4))
+                .collect(),
+            warmup: 0,
+            traces: bench.riscii_traces().to_vec(),
+        }],
+        "ablations" => ablation_groups(bench),
+        _ => {
+            let figure: u8 = artifact.strip_prefix("fig")?.parse().ok()?;
+            let &(_, arch, nets, _) = FIGURES.iter().find(|&&(n, ..)| n == figure)?;
+            vec![arch_group(bench, arch, paper_grid(arch, &nets))]
+        }
+    };
+    Some(groups)
+}
+
+/// `configs` over an architecture's main trace set with its warm-up.
+fn arch_group(bench: &mut Workbench, arch: Architecture, configs: Vec<CacheConfig>) -> GridGroup {
+    GridGroup {
+        configs,
         warmup: bench.warmup_for(arch),
         traces: bench.arch_traces(arch).to_vec(),
-    }])
+    }
+}
+
+/// The groups of a journalled artifact, which [`journalled_grid`]
+/// defines for every name [`journalled_artifacts`] lists.
+fn groups_of(bench: &mut Workbench, artifact: &str) -> Vec<GridGroup> {
+    journalled_grid(bench, artifact)
+        .unwrap_or_else(|| panic!("{artifact} is a journalled artifact with a grid"))
+}
+
+/// Sweeps every group of `artifact` through the checkpointed, supervised
+/// engine sweep, one [`SweepOutcome`] per group in group order. All
+/// groups journal into the artifact's one journal (keys are per
+/// point, trace set and warm-up), and each group records a run-report
+/// phase.
+pub fn sweep_groups(artifact: &str, groups: &[GridGroup]) -> Vec<SweepOutcome> {
+    groups
+        .iter()
+        .map(|g| {
+            crate::checkpoint::evaluate_checkpointed(artifact, &g.configs, &g.traces, g.warmup)
+        })
+        .collect()
+}
+
+/// The point `config` evaluated to in `outcome`, or `None` when it
+/// failed (its error is in `outcome.failures`).
+fn point_of(outcome: &SweepOutcome, config: CacheConfig) -> Option<&DesignPoint> {
+    outcome.points.iter().find(|p| p.config == config)
+}
+
+/// A report cell: `value` of the point to four places, or `FAILED` when
+/// the point failed.
+fn cell(point: Option<&DesignPoint>, value: fn(&DesignPoint) -> f64) -> String {
+    point.map_or_else(|| "FAILED".to_string(), |p| format!("{:.4}", value(p)))
+}
+
+/// Every failure across an artifact's group outcomes, in group order.
+fn all_failures(outcomes: &[SweepOutcome]) -> Vec<PointError> {
+    outcomes
+        .iter()
+        .flat_map(|o| o.failures.iter().cloned())
+        .collect()
+}
+
+/// A direct-mapped, demand-fetch cache with one-block sub-blocks.
+fn direct_mapped(net: u64, block: u64, word: u64) -> CacheConfig {
+    CacheConfig::builder()
+        .net_size(net)
+        .block_size(block)
+        .sub_block_size(block)
+        .associativity(1)
+        .word_size(word)
+        .build()
+        .expect("direct-mapped geometry is valid")
 }
 
 /// Regenerates one of Figures 1–8.
@@ -352,9 +449,17 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
         .iter()
         .find(|&&(n, ..)| n == figure)
         .unwrap_or_else(|| panic!("figure {figure} is not one of Figures 1-8"));
-    let warmup = bench.warmup_for(arch);
     let len = bench.len();
-    let traces = bench.arch_traces(arch);
+    let name: &'static str = match figure {
+        1 => "fig1",
+        2 => "fig2",
+        3 => "fig3",
+        4 => "fig4",
+        5 => "fig5",
+        6 => "fig6",
+        7 => "fig7",
+        _ => "fig8",
+    };
 
     let mut report = String::new();
     let axis_name = match axis {
@@ -373,13 +478,8 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
     // shares trace passes across nets (each (block, sub) geometry recurs
     // at every net), and journal keys are per-point, so journals written
     // by older per-net sweeps still resume.
-    let all_configs = paper_grid(arch, &nets);
-    let outcome = crate::checkpoint::evaluate_checkpointed(
-        &format!("fig{figure}"),
-        &all_configs,
-        traces,
-        warmup,
-    );
+    let groups = groups_of(bench, name);
+    let outcome = sweep_groups(name, &groups).remove(0);
     let failures = outcome.failures;
     for net in nets {
         let points: Vec<&DesignPoint> = outcome
@@ -442,19 +542,9 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
         }
     }
     let _ = writeln!(report, "{}", plot.render());
-    if let Some(note) = crate::sweep::failure_note(&failures) {
+    if let Some(note) = failure_note(&failures) {
         let _ = writeln!(report, "{note}");
     }
-    let name: &'static str = match figure {
-        1 => "fig1",
-        2 => "fig2",
-        3 => "fig3",
-        4 => "fig4",
-        5 => "fig5",
-        6 => "fig6",
-        7 => "fig7",
-        _ => "fig8",
-    };
     Artifact {
         name,
         report,
@@ -595,20 +685,22 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
         report,
         "Table 7: nets 64/256/1024, 4-way LRU demand, {len} refs/trace\n"
     );
+    // All three nets of an architecture in one checkpointed sweep, so
+    // the planner can share trace passes across nets; journal keys stay
+    // per-point and the concatenation preserves the per-net point order
+    // the render expects.
+    let groups = groups_of(bench, "table7");
     let mut csv_all = Vec::new();
-    for arch in Architecture::ALL {
-        let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
-        // All three nets in one checkpointed sweep, so the planner can
-        // share trace passes across nets; journal keys stay per-point and
-        // the concatenation preserves the per-net point order the render
-        // expects.
-        let configs = paper_grid(arch, &[64, 256, 1024]);
-        let outcome = crate::checkpoint::evaluate_checkpointed("table7", &configs, traces, warmup);
-        let points = outcome.points;
-        let failures = outcome.failures;
-        report.push_str(&table7_block(arch.name(), &points, paper::table7(arch)));
-        if let Some(note) = crate::sweep::failure_note(&failures) {
+    for (arch, outcome) in Architecture::ALL
+        .into_iter()
+        .zip(sweep_groups("table7", &groups))
+    {
+        report.push_str(&table7_block(
+            arch.name(),
+            &outcome.points,
+            paper::table7(arch),
+        ));
+        if let Some(note) = failure_note(&outcome.failures) {
             report.push_str(&note);
         }
         report.push('\n');
@@ -617,7 +709,7 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
                 "table7_{}.csv",
                 arch.name().to_lowercase().replace([' ', '/'], "_")
             ),
-            points_to_csv(arch.name(), &points),
+            points_to_csv(arch.name(), &outcome.points),
         ));
     }
     Artifact {
@@ -631,13 +723,32 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
 // Table 8 / Figure 9: load-forward
 // ----------------------------------------------------------------------
 
+/// A Table 8 row's cache: Z8000 words, the paper's default 4-way LRU,
+/// demand or load-forward fetch.
+fn table8_config(row: &paper::Table8Row) -> CacheConfig {
+    let mut builder = CacheConfig::builder();
+    builder
+        .net_size(row.net)
+        .block_size(row.block)
+        .sub_block_size(row.sub)
+        .word_size(2);
+    if row.load_forward {
+        builder.fetch(FetchPolicy::LOAD_FORWARD);
+    }
+    builder.build().expect("Table 8 geometry is valid")
+}
+
 /// Regenerates Table 8 (and the data of Figure 9): load-forward on the
 /// Z8000 compiler traces at 64- and 256-byte caches.
+///
+/// One checkpointed sweep: the demand rows share one engine pass per
+/// trace and the load-forward rows run on the direct simulator, all on
+/// the supervised pool. A failed row renders as `FAILED` (and is left
+/// out of the CSV), followed by the failure note.
 pub fn run_table8(bench: &mut Workbench) -> Artifact {
     let len = bench.len();
-    let warmup = bench.warmup_for(Architecture::Z8000);
-    let traces = bench.load_forward_traces();
-    let nibble = BusModel::paper_nibble();
+    let groups = groups_of(bench, "table8");
+    let outcomes = sweep_groups("table8", &groups);
 
     let mut report = String::new();
     let _ = writeln!(
@@ -653,60 +764,42 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
         "net,block,sub,load_forward,gross,miss_ratio,traffic_ratio,nibble_traffic,redundant_fraction\n",
     );
 
-    for &row in paper::TABLE8 {
-        let mut builder = CacheConfig::builder();
-        builder
-            .net_size(row.net)
-            .block_size(row.block)
-            .sub_block_size(row.sub)
-            .word_size(2);
-        if row.load_forward {
-            builder.fetch(FetchPolicy::LOAD_FORWARD);
-        }
-        let config = builder.build().expect("Table 8 geometry is valid");
-        let mut miss = 0.0;
-        let mut traffic = 0.0;
-        let mut scaled = 0.0;
-        let mut redundant = 0.0;
-        for trace in traces {
-            let m = simulate(config, trace.iter(), warmup);
-            miss += m.miss_ratio();
-            traffic += m.traffic_ratio();
-            scaled += m.scaled_traffic_ratio(nibble);
-            if m.sub_loads() > 0 {
-                redundant += m.redundant_sub_loads() as f64 / m.sub_loads() as f64;
-            }
-        }
-        let n = traces.len() as f64;
-        miss /= n;
-        traffic /= n;
-        scaled /= n;
-        redundant /= n;
+    for (row, &config) in paper::TABLE8.iter().zip(&groups[0].configs) {
         let label = if row.load_forward {
             format!("{},{},LF", row.block, row.sub)
         } else {
             format!("{},{}", row.block, row.sub)
         };
+        let point = point_of(&outcomes[0], config);
+        let redundant = point.map_or_else(
+            || "-".to_string(),
+            |p| format!("{:.1}%", p.redundant_load_fraction * 100.0),
+        );
         let _ = writeln!(
             report,
-            "{:>5} {:>9} | {:>8.4} {:>8.4} {:>8.4} {:>6.1}% | {:>8.3} {:>8.3}",
+            "{:>5} {:>9} | {:>8} {:>8} {:>8} {:>7} | {:>8.3} {:>8.3}",
             row.net,
             label,
-            miss,
-            traffic,
-            scaled,
-            redundant * 100.0,
+            cell(point, |p| p.miss_ratio),
+            cell(point, |p| p.traffic_ratio),
+            cell(point, |p| p.nibble_traffic_ratio),
+            redundant,
             row.miss,
             row.traffic
         );
+        let Some(p) = point else { continue };
         let _ = writeln!(
             csv,
-            "{},{},{},{},{},{miss:.6},{traffic:.6},{scaled:.6},{redundant:.6}",
+            "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6}",
             row.net,
             row.block,
             row.sub,
             row.load_forward,
-            config.gross_size(),
+            p.gross_size,
+            p.miss_ratio,
+            p.traffic_ratio,
+            p.nibble_traffic_ratio,
+            p.redundant_load_fraction,
         );
     }
     let _ = writeln!(
@@ -715,6 +808,9 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
          fraction of sub-block loads that re-fetched resident data — the\n\
          paper found it small enough to not justify the optimized scheme.)"
     );
+    if let Some(note) = failure_note(&all_failures(&outcomes)) {
+        report.push_str(&note);
+    }
     Artifact {
         name: "table8",
         report,
@@ -744,7 +840,8 @@ pub fn run_fig9(bench: &mut Workbench) -> Artifact {
 /// 8-byte blocks, instruction fetches only, 512–4096 bytes.
 pub fn run_risc2(bench: &mut Workbench) -> Artifact {
     let len = bench.len();
-    let traces = bench.riscii_traces();
+    let groups = groups_of(bench, "risc2");
+    let outcomes = sweep_groups("risc2", &groups);
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -757,34 +854,25 @@ pub fn run_risc2(bench: &mut Workbench) -> Artifact {
         "net", "miss", "p.miss", "relerr"
     );
     let mut csv = String::from("net,miss_ratio,paper_miss\n");
-    for &(net, paper_miss) in paper::RISCII_CURVE {
-        let config = CacheConfig::builder()
-            .net_size(net)
-            .block_size(8)
-            .sub_block_size(8)
-            .associativity(1)
-            .word_size(4)
-            .build()
-            .expect("RISC II geometry is valid");
-        let mut miss = 0.0;
-        for trace in traces {
-            miss += simulate(config, trace.iter(), 0).miss_ratio();
-        }
-        miss /= traces.len() as f64;
-        let _ = writeln!(
-            report,
-            "{:>6} {:>9.4} {:>9.4} {:>6.0}%",
-            net,
-            miss,
-            paper_miss,
-            relative_error(miss, paper_miss) * 100.0
+    for (&(net, paper_miss), &config) in paper::RISCII_CURVE.iter().zip(&groups[0].configs) {
+        let point = point_of(&outcomes[0], config);
+        let error = point.map_or_else(
+            || "-".to_string(),
+            |p| format!("{:.0}%", relative_error(p.miss_ratio, paper_miss) * 100.0),
         );
-        let _ = writeln!(csv, "{net},{miss:.6},{paper_miss}");
+        let miss = cell(point, |p| p.miss_ratio);
+        let _ = writeln!(report, "{net:>6} {miss:>9} {paper_miss:>9.4} {error:>7}");
+        if let Some(p) = point {
+            let _ = writeln!(csv, "{net},{:.6},{paper_miss}", p.miss_ratio);
+        }
     }
     let _ = writeln!(
         report,
         "\n(Paper: doubling the cache size reduced the miss ratio by ~20%.)"
     );
+    if let Some(note) = failure_note(&all_failures(&outcomes)) {
+        report.push_str(&note);
+    }
     Artifact {
         name: "risc2",
         report,
@@ -796,39 +884,142 @@ pub fn run_risc2(bench: &mut Workbench) -> Artifact {
 // Ablations: the design choices the paper holds fixed
 // ----------------------------------------------------------------------
 
+/// Architectures of the associativity ablation.
+const ASSOCIATIVITY_ARCHS: [Architecture; 2] = [Architecture::Pdp11, Architecture::Vax11];
+/// Associativities compared per architecture.
+const ASSOCIATIVITY_WAYS: [u64; 4] = [1, 2, 4, 8];
+/// Architectures of the replacement-policy ablation.
+const REPLACEMENT_ARCHS: [Architecture; 2] = [Architecture::Pdp11, Architecture::S370];
+/// Replacement policies compared per architecture.
+const REPLACEMENT_POLICIES: [ReplacementPolicy; 3] = [
+    ReplacementPolicy::Lru,
+    ReplacementPolicy::Fifo,
+    ReplacementPolicy::Random,
+];
+/// The load-forward variants compared: the paper's redundant-load
+/// scheme and the optimized one that remembers valid sub-blocks.
+const LOAD_FORWARD_VARIANTS: [(&str, FetchPolicy); 2] = [
+    ("redundant (paper)", FetchPolicy::LOAD_FORWARD),
+    (
+        "optimized",
+        FetchPolicy::LoadForward {
+            remember_valid: true,
+        },
+    ),
+];
+/// Labels of the warm-start ablation's two groups (no warm-up, then a
+/// 5% warm-up prefix).
+const WARM_START_LABELS: [&str; 2] = ["cold", "warm (5%)"];
+
+/// The ablations' 1024-byte (16,8) cache, left open for the setting
+/// under study.
+fn ablation_builder(word: u64) -> CacheConfigBuilder {
+    let mut builder = CacheConfig::builder();
+    builder
+        .net_size(1024)
+        .block_size(16)
+        .sub_block_size(8)
+        .word_size(word);
+    builder
+}
+
+/// The ablations' sweep groups, in render order: associativity per
+/// [`ASSOCIATIVITY_ARCHS`], replacement per [`REPLACEMENT_ARCHS`], the
+/// Strecker PDP-11 curve, the load-forward variants (256-byte (16,2)
+/// on the Z8000 compiler traces), then the Z8000 set cold and warm.
+fn ablation_groups(bench: &mut Workbench) -> Vec<GridGroup> {
+    let mut groups = Vec::new();
+    for arch in ASSOCIATIVITY_ARCHS {
+        let configs = ASSOCIATIVITY_WAYS
+            .iter()
+            .map(|&ways| {
+                ablation_builder(arch.word_size())
+                    .associativity(ways)
+                    .build()
+                    .expect("valid geometry")
+            })
+            .collect();
+        groups.push(arch_group(bench, arch, configs));
+    }
+    for arch in REPLACEMENT_ARCHS {
+        let configs = REPLACEMENT_POLICIES
+            .iter()
+            .map(|&policy| {
+                ablation_builder(arch.word_size())
+                    .replacement(policy)
+                    .build()
+                    .expect("valid geometry")
+            })
+            .collect();
+        groups.push(arch_group(bench, arch, configs));
+    }
+    groups.push(GridGroup {
+        configs: paper::STRECKER_CURVE
+            .iter()
+            .map(|&(net, _)| direct_mapped(net, 4, 2))
+            .collect(),
+        warmup: 0,
+        traces: bench.arch_traces(Architecture::Pdp11).to_vec(),
+    });
+    groups.push(GridGroup {
+        configs: LOAD_FORWARD_VARIANTS
+            .iter()
+            .map(|&(_, fetch)| {
+                CacheConfig::builder()
+                    .net_size(256)
+                    .block_size(16)
+                    .sub_block_size(2)
+                    .word_size(2)
+                    .fetch(fetch)
+                    .build()
+                    .expect("valid geometry")
+            })
+            .collect(),
+        warmup: bench.warmup_for(Architecture::Z8000),
+        traces: bench.load_forward_traces().to_vec(),
+    });
+    let len = bench.len();
+    for warmup in [0, len / 20] {
+        let config = ablation_builder(2).build().expect("valid geometry");
+        let mut group = arch_group(bench, Architecture::Z8000, vec![config]);
+        group.warmup = warmup;
+        groups.push(group);
+    }
+    groups
+}
+
 /// Ablation experiments over the parameters the paper fixed, checking the
 /// claims it cites for fixing them: associativity (4-way ≈ fully
 /// associative, little gain past 4), replacement (LRU ≈ FIFO ≈ RANDOM),
 /// Strecker's PDP-11 direct-mapped size curve, the optimized vs redundant
 /// load-forward variant, and warm vs cold start.
 pub fn run_ablations(bench: &mut Workbench) -> Artifact {
-    let mut report = String::new();
     let len = bench.len();
+    let groups = groups_of(bench, "ablations");
+    let outcomes = sweep_groups("ablations", &groups);
+    // Each section below takes its groups in `ablation_groups` order.
+    let mut blocks = groups.iter().zip(&outcomes);
+    let mut next = || {
+        blocks
+            .next()
+            .expect("ablation_groups defines every section")
+    };
+    let mut report = String::new();
     let _ = writeln!(report, "Ablations ({len} refs/trace)\n");
     let mut csv = String::from("experiment,arch,variant,miss_ratio,traffic_ratio\n");
 
     // --- Associativity (paper §3.1, citing Smith [15] and Strecker [4]).
     let _ = writeln!(report, "Associativity (1024-byte cache, 16,8):");
-    for arch in [Architecture::Pdp11, Architecture::Vax11] {
-        let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+    for arch in ASSOCIATIVITY_ARCHS {
+        let (group, outcome) = next();
         let mut row = format!("  {:<16}", arch.name());
-        for ways in [1u64, 2, 4, 8] {
-            let config = CacheConfig::builder()
-                .net_size(1024)
-                .block_size(16)
-                .sub_block_size(8)
-                .associativity(ways)
-                .word_size(arch.word_size())
-                .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
+        for (ways, &config) in ASSOCIATIVITY_WAYS.iter().zip(&group.configs) {
+            let point = point_of(outcome, config);
+            let _ = write!(row, " {ways}-way {} ", cell(point, |p| p.miss_ratio));
+            if let Some(p) = point {
+                let miss = p.miss_ratio;
+                let _ = writeln!(csv, "associativity,{},{ways}-way,{miss:.6},", arch.name());
             }
-            miss /= traces.len() as f64;
-            let _ = write!(row, " {ways}-way {miss:.4} ");
-            let _ = writeln!(csv, "associativity,{},{ways}-way,{miss:.6},", arch.name());
         }
         let _ = writeln!(report, "{row}");
     }
@@ -839,30 +1030,16 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
 
     // --- Replacement policy (Strecker: LRU ≈ FIFO ≈ RANDOM).
     let _ = writeln!(report, "Replacement policy (1024-byte cache, 16,8, 4-way):");
-    for arch in [Architecture::Pdp11, Architecture::S370] {
-        let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+    for arch in REPLACEMENT_ARCHS {
+        let (group, outcome) = next();
         let mut row = format!("  {:<16}", arch.name());
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            let config = CacheConfig::builder()
-                .net_size(1024)
-                .block_size(16)
-                .sub_block_size(8)
-                .replacement(policy)
-                .word_size(arch.word_size())
-                .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
+        for (policy, &config) in REPLACEMENT_POLICIES.iter().zip(&group.configs) {
+            let point = point_of(outcome, config);
+            let _ = write!(row, " {policy} {} ", cell(point, |p| p.miss_ratio));
+            if let Some(p) = point {
+                let miss = p.miss_ratio;
+                let _ = writeln!(csv, "replacement,{},{policy},{miss:.6},", arch.name());
             }
-            miss /= traces.len() as f64;
-            let _ = write!(row, " {policy} {miss:.4} ");
-            let _ = writeln!(csv, "replacement,{},{policy},{miss:.6},", arch.name());
         }
         let _ = writeln!(report, "{row}");
     }
@@ -874,24 +1051,13 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
         "Strecker PDP-11 curve (direct-mapped, 4-byte blocks):"
     );
     let _ = writeln!(report, "  {:>6} {:>9} {:>9}", "net", "miss", "Strecker");
-    {
-        let traces = bench.arch_traces(Architecture::Pdp11);
-        for &(net, paper_miss) in paper::STRECKER_CURVE {
-            let config = CacheConfig::builder()
-                .net_size(net)
-                .block_size(4)
-                .sub_block_size(4)
-                .associativity(1)
-                .word_size(2)
-                .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), 0).miss_ratio();
-            }
-            miss /= traces.len() as f64;
-            let _ = writeln!(report, "  {:>6} {:>9.4} {:>9.2}", net, miss, paper_miss);
-            let _ = writeln!(csv, "strecker,PDP-11,{net},{miss:.6},");
+    let (group, outcome) = next();
+    for (&(net, paper_miss), &config) in paper::STRECKER_CURVE.iter().zip(&group.configs) {
+        let point = point_of(outcome, config);
+        let miss = cell(point, |p| p.miss_ratio);
+        let _ = writeln!(report, "  {net:>6} {miss:>9} {paper_miss:>9.2}");
+        if let Some(p) = point {
+            let _ = writeln!(csv, "strecker,PDP-11,{net},{:.6},", p.miss_ratio);
         }
     }
     let _ = writeln!(report);
@@ -901,82 +1067,51 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
         report,
         "Load-forward variants (Z8000 CPP/C1/C2, 256-byte cache, 16,2):"
     );
-    {
-        let warmup = bench.warmup_for(Architecture::Z8000);
-        let traces = bench.load_forward_traces();
-        for (label, fetch) in [
-            ("redundant (paper)", FetchPolicy::LOAD_FORWARD),
-            (
-                "optimized",
-                FetchPolicy::LoadForward {
-                    remember_valid: true,
-                },
-            ),
-        ] {
-            let config = CacheConfig::builder()
-                .net_size(256)
-                .block_size(16)
-                .sub_block_size(2)
-                .word_size(2)
-                .fetch(fetch)
-                .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            let mut traffic = 0.0;
-            for t in traces {
-                let m = simulate(config, t.iter(), warmup);
-                miss += m.miss_ratio();
-                traffic += m.traffic_ratio();
-            }
-            let n = traces.len() as f64;
-            let _ = writeln!(
-                report,
-                "  {:<20} miss {:.4}  traffic {:.4}",
-                label,
-                miss / n,
-                traffic / n
-            );
+    let (group, outcome) = next();
+    for (&(label, _), &config) in LOAD_FORWARD_VARIANTS.iter().zip(&group.configs) {
+        let point = point_of(outcome, config);
+        let _ = writeln!(
+            report,
+            "  {label:<20} miss {}  traffic {}",
+            cell(point, |p| p.miss_ratio),
+            cell(point, |p| p.traffic_ratio)
+        );
+        if let Some(p) = point {
             let _ = writeln!(
                 csv,
                 "load_forward_variant,Z8000,{label},{:.6},{:.6}",
-                miss / n,
-                traffic / n
+                p.miss_ratio, p.traffic_ratio
             );
         }
-        let _ = writeln!(
-            report,
-            "  (identical miss ratios; the optimized variant only trims traffic)\n"
-        );
     }
+    let _ = writeln!(
+        report,
+        "  (identical miss ratios; the optimized variant only trims traffic)\n"
+    );
 
     // --- Warm vs cold start (§4.2.2).
     let _ = writeln!(
         report,
         "Warm vs cold start (Z8000 set, 1024-byte cache, 16,8):"
     );
-    {
-        let len = bench.len();
-        let traces = bench.arch_traces(Architecture::Z8000);
-        let config = CacheConfig::builder()
-            .net_size(1024)
-            .block_size(16)
-            .sub_block_size(8)
-            .word_size(2)
-            .build()
-            .expect("valid geometry");
-        for (label, warmup) in [("cold", 0usize), ("warm (5%)", len / 20)] {
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
-            }
-            miss /= traces.len() as f64;
-            let _ = writeln!(report, "  {label:<12} miss {miss:.4}");
-            let _ = writeln!(csv, "warm_start,Z8000,{label},{miss:.6},");
-        }
+    for label in WARM_START_LABELS {
+        let (group, outcome) = next();
+        let point = point_of(outcome, group.configs[0]);
         let _ = writeln!(
             report,
-            "  (warm-start ratios are slightly optimistic, as the paper notes)"
+            "  {label:<12} miss {}",
+            cell(point, |p| p.miss_ratio)
         );
+        if let Some(p) = point {
+            let _ = writeln!(csv, "warm_start,Z8000,{label},{:.6},", p.miss_ratio);
+        }
+    }
+    let _ = writeln!(
+        report,
+        "  (warm-start ratios are slightly optimistic, as the paper notes)"
+    );
+    if let Some(note) = failure_note(&all_failures(&outcomes)) {
+        report.push_str(&note);
     }
 
     Artifact {
@@ -993,6 +1128,8 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
 /// Regenerates the abstract's headline numbers: miss/traffic ratios of the
 /// 1024-byte 4-way 8-byte-block cache for all four architectures.
 pub fn run_headline(bench: &mut Workbench) -> Artifact {
+    let groups = groups_of(bench, "headline");
+    let outcomes = sweep_groups("headline", &groups);
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -1004,37 +1141,31 @@ pub fn run_headline(bench: &mut Workbench) -> Artifact {
         "architecture", "miss", "traffic", "p.miss", "p.traf"
     );
     let mut csv = String::from("arch,miss_ratio,traffic_ratio,paper_miss,paper_traffic\n");
-    for arch in Architecture::ALL {
-        let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
-        let config = standard_config(arch, 1024, 8, 8);
-        let mut miss = 0.0;
-        let mut traffic = 0.0;
-        for t in traces {
-            let m = simulate(config, t.iter(), warmup);
-            miss += m.miss_ratio();
-            traffic += m.traffic_ratio();
-        }
-        let n = traces.len() as f64;
-        miss /= n;
-        traffic /= n;
+    for ((arch, group), outcome) in Architecture::ALL.into_iter().zip(&groups).zip(&outcomes) {
         let reference = paper::table7_row(arch, 1024, 8, 8).expect("anchor row present");
+        let point = point_of(outcome, group.configs[0]);
         let _ = writeln!(
             report,
-            "{:<16} {:>8.4} {:>8.4} | {:>8.4} {:>8.4}",
+            "{:<16} {:>8} {:>8} | {:>8.4} {:>8.4}",
             arch.name(),
-            miss,
-            traffic,
+            cell(point, |p| p.miss_ratio),
+            cell(point, |p| p.traffic_ratio),
             reference.miss,
             reference.traffic
         );
+        let Some(p) = point else { continue };
         let _ = writeln!(
             csv,
-            "{},{miss:.6},{traffic:.6},{},{}",
+            "{},{:.6},{:.6},{},{}",
             arch.name(),
+            p.miss_ratio,
+            p.traffic_ratio,
             reference.miss,
             reference.traffic
         );
+    }
+    if let Some(note) = failure_note(&all_failures(&outcomes)) {
+        report.push_str(&note);
     }
     Artifact {
         name: "headline",

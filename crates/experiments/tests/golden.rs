@@ -1,13 +1,18 @@
 //! Golden regression over every journalled artifact: the report text,
-//! every CSV payload, and the sealed checkpoint journal of Table 7 and
-//! Figures 1–8 — regenerated at a small reference count with a serial
+//! every CSV payload, and the sealed checkpoint journal of Table 7,
+//! Figures 1–8, Table 8, the headline summary, the RISC II curve and
+//! the ablations — regenerated at a small reference count with a serial
 //! worker pool — must hash exactly to the values committed in
 //! `golden_hashes.txt`.
 //!
 //! The committed hashes were produced by this same test (run with
 //! `OCCACHE_GOLDEN_REGEN=1`), so any refactor of the execution path
 //! that changes a single output byte fails here before it can corrupt
-//! a resumable journal or silently shift an artifact.
+//! a resumable journal or silently shift an artifact. The report and
+//! CSV lines of Table 8, the headline, RISC II and the ablations were
+//! taken from their hand-written simulation loops before those moved
+//! onto the checkpointed sweep, so they pin that the move kept every
+//! byte.
 //!
 //! One `#[test]` only: the run depends on process-global environment
 //! (`OCCACHE_RESULTS`, `OCCACHE_JOBS`), so this file must not gain a
@@ -18,7 +23,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use occache_experiments::checkpoint::fnv1a;
-use occache_experiments::runs::{journalled_artifacts, run_figure, run_table7, Workbench};
+use occache_experiments::runs::{
+    journalled_artifacts, run_ablations, run_figure, run_headline, run_risc2, run_table7,
+    run_table8, Workbench,
+};
 
 /// References per trace: small enough for a debug-profile test run,
 /// large enough that every Table 1 pair sees real misses.
@@ -54,6 +62,10 @@ fn regenerate() -> BTreeMap<String, u64> {
     for &name in journalled_artifacts() {
         let artifact = match name {
             "table7" => run_table7(&mut bench),
+            "table8" => run_table8(&mut bench),
+            "headline" => run_headline(&mut bench),
+            "risc2" => run_risc2(&mut bench),
+            "ablations" => run_ablations(&mut bench),
             _ => {
                 let figure: u8 = name
                     .strip_prefix("fig")
