@@ -15,6 +15,9 @@ cargo fmt --all -- --check
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace -- -D warnings
+# Test code is linted crate by crate as each crate's tests are brought
+# under the same lint set (the remaining counts are on ROADMAP.md).
+cargo clippy -p occache-runtime --all-targets -- -D warnings
 
 echo "== tier-1: release build + root-package tests =="
 cargo build --release

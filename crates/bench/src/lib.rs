@@ -13,7 +13,9 @@
 //!   length,
 //! * `multisim` — the one-pass all-sizes LRU engine against N
 //!   independent direct simulations of the same slice (the speedup that
-//!   motivates the sweep planner).
+//!   motivates the sweep planner),
+//! * `fingerprint` — the trace-set fingerprint behind every journal key
+//!   over the Table 7 trace sets, cold against memoized.
 //!
 //! Besides the benches, the `perf_smoke` binary regenerates a
 //! Table-7-style grid through both sweep paths, asserts the results are

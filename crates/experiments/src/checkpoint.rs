@@ -306,7 +306,6 @@ where
         artifact,
         configs,
         traces,
-        trace_fingerprint(traces),
         warmup,
         fresh,
         |cfgs, tr, w, sink: &JournalSink, _progress: &ProgressWriter| {
@@ -347,21 +346,15 @@ pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Syn
 /// returns. `eval` receives the [`ProgressWriter`] so it can fold in
 /// what only it observes (supervisor retry tallies).
 ///
-/// `fingerprint` is the trace set's [`trace_fingerprint`]: hashing every
-/// reference of every trace is a full pass over the set, so a caller
-/// that also reports the fingerprint computes it once and passes it in.
-///
 /// # Errors
 ///
 /// As [`evaluate_checkpointed_in`]; additionally any journal-append
 /// failure observed by the writer thread is reported after evaluation.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_checkpointed_keyed<F>(
     dir: &Path,
     artifact: &str,
     configs: &[CacheConfig],
     traces: &[Trace],
-    fingerprint: u64,
     warmup: usize,
     fresh: bool,
     eval: F,
@@ -389,6 +382,7 @@ where
     if scan.needs_repair() {
         compact_journal(&path, &scan)?;
     }
+    let fingerprint = trace_fingerprint(traces);
     let keys: Vec<u64> = configs
         .iter()
         .map(|c| point_key(c, fingerprint, warmup))
@@ -583,10 +577,7 @@ pub fn evaluate_checkpointed(
         stats.lock().expect("supervisor stats lock").merge(s);
         results
     };
-    let trace_fp = trace_fingerprint(traces);
-    match evaluate_checkpointed_keyed(
-        &dir, artifact, configs, traces, trace_fp, warmup, fresh, supervised,
-    ) {
+    match evaluate_checkpointed_keyed(&dir, artifact, configs, traces, warmup, fresh, supervised) {
         Ok(mut outcome) => {
             let stats = *stats.lock().expect("supervisor stats lock");
             outcome.retries = stats.retries;
@@ -612,7 +603,7 @@ pub fn evaluate_checkpointed(
                 bad_journal_lines: outcome.journal.bad_lines,
                 repaired_tail_bytes: outcome.journal.repaired_tail_bytes,
                 wall_ms: started.elapsed().as_millis(),
-                trace_fp,
+                trace_fp: trace_fingerprint(traces),
                 config_fp: config_fingerprint(configs),
             });
             // Phase boundary: flush the report accumulated so far as an

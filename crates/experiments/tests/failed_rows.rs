@@ -98,7 +98,7 @@ fn failed_load_forward_row_renders_and_spares_the_other_rows() {
     assert!(
         artifact
             .report
-            .contains("1 design point(s) FAILED and are missing above"),
+            .contains("1 design point(s) FAILED; the table above omits them or marks them FAILED"),
         "{}",
         artifact.report
     );

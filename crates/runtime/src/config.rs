@@ -489,7 +489,9 @@ mod tests {
         assert_eq!(try_peer_retries(), Ok(DEFAULT_PEER_RETRIES));
 
         std::env::set_var("OCCACHE_PEERS", "a:1,b:2,a:1");
-        assert!(try_peers().unwrap_err().contains("twice"));
+        assert!(try_peers()
+            .expect_err("a repeated peer is rejected")
+            .contains("twice"));
         std::env::set_var("OCCACHE_PEERS", "a:1,,b:2");
         assert!(try_peers().is_err());
         std::env::set_var("OCCACHE_PEERS", "");
@@ -528,12 +530,12 @@ mod tests {
         assert_eq!(DisabledEngines::parse("1"), Ok(DisabledEngines::ALL));
         assert_eq!(DisabledEngines::parse("all"), Ok(DisabledEngines::ALL));
         assert_eq!(DisabledEngines::parse("ALL"), Ok(DisabledEngines::ALL));
-        let fr = DisabledEngines::parse("fifo,random").unwrap();
+        let fr = DisabledEngines::parse("fifo,random").expect("a valid engine list");
         assert!(fr.fifo && fr.random && !fr.lru);
         assert!(fr.contains(EngineKind::Fifo));
         assert!(fr.contains(EngineKind::Random));
         assert!(!fr.contains(EngineKind::Lru));
-        let spaced = DisabledEngines::parse(" LRU , fifo ").unwrap();
+        let spaced = DisabledEngines::parse(" LRU , fifo ").expect("a spaced engine list");
         assert!(spaced.lru && spaced.fifo && !spaced.random);
         assert_eq!(
             DisabledEngines::parse("random,random"),
@@ -575,7 +577,7 @@ mod tests {
             })
         );
         std::env::set_var("OCCACHE_NO_MULTISIM", "sometimes");
-        let err = try_multisim_disabled().unwrap_err();
+        let err = try_multisim_disabled().expect_err("a malformed value is rejected");
         assert!(err.contains("OCCACHE_NO_MULTISIM"), "{err}");
         // Lenient mid-run reading: malformed means "all off", the
         // conservative superset of the historical truthy behaviour.
@@ -612,12 +614,12 @@ mod tests {
 
     #[test]
     fn timeout_parsing_covers_off_and_seconds() {
-        assert_eq!(parse_timeout("").unwrap(), None);
-        assert_eq!(parse_timeout("0").unwrap(), None);
-        assert_eq!(parse_timeout("off").unwrap(), None);
-        assert_eq!(parse_timeout("OFF").unwrap(), None);
+        assert_eq!(parse_timeout("").expect("empty means off"), None);
+        assert_eq!(parse_timeout("0").expect("zero means off"), None);
+        assert_eq!(parse_timeout("off").expect("off"), None);
+        assert_eq!(parse_timeout("OFF").expect("OFF"), None);
         assert_eq!(
-            parse_timeout("2.5").unwrap(),
+            parse_timeout("2.5").expect("fractional seconds"),
             Some(Duration::from_millis(2_500))
         );
         assert!(parse_timeout("-1").is_err());

@@ -18,7 +18,7 @@
 //! equivalence tests and timing comparisons; see
 //! [`crate::config::multisim_disabled`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
 use occache_core::{
@@ -32,12 +32,21 @@ use occache_trace::{MemRef, PackedTrace};
 /// The stream is packed once into a shared [`PackedTrace`] (9 bytes per
 /// reference instead of 16), so cloning a `Trace` — as the memoizing
 /// workbench, serve's trace sets and the sweep workers do — bumps a
-/// reference count rather than copying a million-entry stream.
+/// reference count rather than copying a million-entry stream. Clones
+/// also share the memo of [`crate::keys::trace_fingerprint`]'s walk over
+/// the references, so a process hashes each stream once.
 #[derive(Clone)]
 pub struct Trace {
     /// Trace name (as in the paper's workload tables).
     pub name: String,
-    refs: Arc<PackedTrace>,
+    backing: Arc<Backing>,
+}
+
+/// What every clone of a [`Trace`] shares: the packed stream, and the
+/// last fingerprint walk over it as `(state before, state after)`.
+struct Backing {
+    refs: PackedTrace,
+    fingerprint: Mutex<Option<(u64, u64)>>,
 }
 
 impl std::fmt::Debug for Trace {
@@ -54,29 +63,55 @@ impl Trace {
     pub fn new(name: impl Into<String>, refs: impl IntoIterator<Item = MemRef>) -> Self {
         Trace {
             name: name.into(),
-            refs: Arc::new(refs.into_iter().collect()),
+            backing: Arc::new(Backing {
+                refs: refs.into_iter().collect(),
+                fingerprint: Mutex::new(None),
+            }),
         }
     }
 
     /// Number of references in the stream.
     pub fn len(&self) -> usize {
-        self.refs.len()
+        self.backing.refs.len()
     }
 
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
+        self.backing.refs.is_empty()
     }
 
     /// Iterates the reference stream, decoding the packed copy in place.
     pub fn iter(&self) -> PackedIter<'_> {
-        self.refs.iter()
+        self.backing.refs.iter()
     }
 
     /// Whether two traces share the same packed buffer — i.e. cloning
     /// one of them produced the other.
     pub fn shares_backing(&self, other: &Trace) -> bool {
-        Arc::ptr_eq(&self.refs, &other.refs)
+        Arc::ptr_eq(&self.backing, &other.backing)
+    }
+
+    /// Advances a fingerprint state over this trace's references:
+    /// `walk(state)` when the memo holds no walk from `state`, else the
+    /// memoized result. The references never change, so the result is a
+    /// pure function of `state` and the memo is exact. The lock is held
+    /// across the walk, so concurrent callers from one state walk once; the
+    /// memo is written only after a walk completes, so a lock poisoned by
+    /// a panicking walk still guards a valid memo.
+    pub(crate) fn memoized_walk(&self, state: u64, walk: impl FnOnce(u64) -> u64) -> u64 {
+        let mut memo = self
+            .backing
+            .fingerprint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match *memo {
+            Some((from, to)) if from == state => to,
+            _ => {
+                let to = walk(state);
+                *memo = Some((state, to));
+                to
+            }
+        }
     }
 }
 

@@ -834,7 +834,7 @@ pub fn failure_note(failures: &[PointError]) -> Option<String> {
         return None;
     }
     let mut note = format!(
-        "WARNING: {} design point(s) FAILED and are missing above:\n",
+        "WARNING: {} design point(s) FAILED; the table above omits them or marks them FAILED:\n",
         failures.len()
     );
     for f in failures {
@@ -945,15 +945,15 @@ mod tests {
 
     #[test]
     fn fault_plan_parsing_round_trips_the_cli_syntax() {
-        let hang = FaultPlan::parse("hang:8,4:0.25").unwrap();
+        let hang = FaultPlan::parse("hang:8,4:0.25").expect("hang with a duration");
         assert_eq!(hang.target, Some((8, 4)));
         assert_eq!(hang.kind, Some(FaultKind::Hang(Duration::from_millis(250))));
-        let default_hang = FaultPlan::parse("hang:16,8").unwrap();
+        let default_hang = FaultPlan::parse("hang:16,8").expect("hang with the default duration");
         assert_eq!(
             default_hang.kind,
             Some(FaultKind::Hang(Duration::from_secs(30)))
         );
-        let panic_once = FaultPlan::parse("panic-once:8,4").unwrap();
+        let panic_once = FaultPlan::parse("panic-once:8,4").expect("one-shot panic");
         assert_eq!(panic_once.kind, Some(FaultKind::PanicOnce));
         assert!(FaultPlan::parse("hang").is_err());
         assert!(FaultPlan::parse("hang:8").is_err());
@@ -976,7 +976,10 @@ mod tests {
         );
         assert_eq!(stats.direct_points, 0);
         for (s, &config) in supervised.iter().zip(&configs) {
-            let (s, p) = (s.as_ref().unwrap(), evaluate_point(config, &traces, 0));
+            let (s, p) = (
+                s.as_ref().expect("supervised point succeeds"),
+                evaluate_point(config, &traces, 0),
+            );
             assert_eq!(s.config, p.config);
             assert_eq!(s.miss_ratio.to_bits(), p.miss_ratio.to_bits());
             assert_eq!(s.traffic_ratio.to_bits(), p.traffic_ratio.to_bits());

@@ -457,6 +457,6 @@ mod tests {
         assert_eq!((last.computed, last.retries), (2, 1));
         assert_eq!(last.engine_points, [2, 1, 0]);
         assert_eq!(last.direct_points, 1);
-        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&dir).expect("remove test dir");
     }
 }

@@ -417,7 +417,7 @@ mod tests {
                     key: point_key(config, set.fingerprint, 0),
                     reply: tx.clone(),
                 })
-                .unwrap();
+                .expect("queue accepts the job");
         }
         drop(tx);
         let mut results: Vec<JobResult> = rx.iter().take(configs.len()).collect();
@@ -484,7 +484,7 @@ mod tests {
                     key: 7,
                     reply: tx.clone(),
                 })
-                .unwrap();
+                .expect("queue accepts the job");
         }
         drop(tx);
         sched.shutdown();
@@ -553,7 +553,7 @@ mod tests {
                 key: point_key(&config, set.fingerprint, 0),
                 reply: tx,
             })
-            .unwrap();
+            .expect("queue accepts the job");
         assert!(rx.recv().expect("job answered").result.is_ok());
         sched.shutdown();
         assert_eq!(sched.points_evaluated(), 1);
@@ -578,7 +578,7 @@ mod tests {
                     key: point_key(config, set.fingerprint, 0),
                     reply: tx.clone(),
                 })
-                .unwrap();
+                .expect("queue accepts the job");
         }
         drop(tx);
         let results: Vec<JobResult> = rx.iter().collect();
